@@ -14,16 +14,21 @@ from pathlib import Path
 
 from . import documents
 from .changes import ChangeWorkflow
-from .errors import DomainError
+from .errors import DocumentError, DomainError, InvalidInputError
 from .model import validate_model
 from .policy import parse_policy, serialize_policy
 from .store import STORE_ENV_VAR, Store
 
 
 def _read_input(source: str) -> str:
-    if source == "-":
-        return sys.stdin.read()
-    return Path(source).read_text(encoding="utf-8")
+    try:
+        if source == "-":
+            return sys.stdin.read()
+        return Path(source).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise InvalidInputError(f"cannot read {source}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"{source} is not UTF-8: {exc}") from None
 
 
 def _emit(text: str) -> None:

@@ -1,45 +1,34 @@
 """Canonical JSON interchange for every stored and served entity.
 
 Canonical form is UTF-8 JSON with sorted keys, two-space indentation, and a
-trailing newline; all lists are emitted in a deterministic order. Parsing is
-strict: missing or unknown keys and wrong types are rejected with the JSON
-path of the offending field, while referential problems are left to the
-validators (violations are data, not parse failures).
+trailing newline; all lists are emitted in a deterministic order.
+
+Decoding is strict and driven by the dataclasses themselves: an object's
+keys are exactly its dataclass's field names, and every key is required.
+Missing or unknown keys and wrong types are rejected with the JSON path of
+the offending field. Identifier strings must be non-empty; only the
+free-text fields (``name``, ``description``, ``role``, ``focus_label`` and
+``payload_description``) may be ``""``, and a nullable field takes ``null``
+or any string. A competence level is a bare integer. Referential problems
+are left to the validators (violations are data, not parse failures).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from typing import Any, Iterable
+from collections import abc
+from enum import Enum
+from functools import cache
+from types import UnionType
+from typing import Any, Callable, Iterable, Union, get_args, get_origin, get_type_hints
 
-from .changes import Annotation, ChangeProposal, ChangeStatus, Decision
+from .changes import Annotation, ChangeProposal
 from .engine import FilterResult
 from .errors import DocumentError
-from .model import (
-    Activity,
-    Artifact,
-    ArtifactKind,
-    Interaction,
-    InteractionClass,
-    Organization,
-    PpcoModel,
-    Process,
-    Task,
-    TaskFlow,
-    Team,
-    Violation,
-)
+from .model import PpcoModel, Violation
 from .policy import ConnexionEntry, ConnexionLevelList
-from .viewpoints import (
-    Actor,
-    CompetenceLevel,
-    RelationshipKind,
-    Situation,
-    Viewpoint,
-    ViewpointDomain,
-    ViewpointObjective,
-    ViewpointRelationship,
-)
+from .viewpoints import Actor, CompetenceLevel, Viewpoint
 
 
 def canonical_dumps(doc: Any) -> str:
@@ -56,55 +45,95 @@ def canonical_loads(text: str) -> Any:
         raise DocumentError(f"invalid JSON: {exc}") from None
 
 
-def _obj(value: Any, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise DocumentError(f"{path}: expected an object, got {type(value).__name__}")
-    return value
+# Fields holding free text, the only strings that may be empty. Every other
+# string field, and every string inside a list, is an identifier.
+_FREE_TEXT_FIELDS = frozenset({"name", "description", "role", "focus_label", "payload_description"})
+
+_SCALARS = {str: "a string", int: "an integer"}
 
 
-def _check_keys(obj: dict, required: set[str], path: str) -> None:
-    missing = required - set(obj)
-    extra = set(obj) - required
-    if missing:
-        raise DocumentError(f"{path}: missing keys {sorted(missing)}")
-    if extra:
-        raise DocumentError(f"{path}: unknown keys {sorted(extra)}")
+@cache
+def _decoder(tp: Any, nonempty: bool = True) -> Callable[[Any, str], Any]:
+    """The strict decoding function for values of type ``tp``.
 
+    It is built once per type from the dataclass fields and their type hints;
+    it takes the value and its JSON path, which every error message starts
+    with. ``nonempty`` applies to strings only.
+    """
+    origin, args = get_origin(tp), get_args(tp)
 
-def _str(obj: dict, key: str, path: str, nonempty: bool = False) -> str:
-    value = obj[key]
-    if not isinstance(value, str) or (nonempty and not value):
-        raise DocumentError(f"{path}.{key}: expected a {'non-empty ' if nonempty else ''}string")
-    return value
+    if tp is Any:
+        return lambda value, path: value
 
+    if tp is CompetenceLevel:
+        decode_int = _decoder(int)
+        return lambda value, path: CompetenceLevel(decode_int(value, path))
 
-def _opt_str(obj: dict, key: str, path: str) -> str | None:
-    value = obj[key]
-    if value is not None and not isinstance(value, str):
-        raise DocumentError(f"{path}.{key}: expected a string or null")
-    return value
+    if tp in _SCALARS or origin in (Union, UnionType):
+        nullable = tp not in _SCALARS
+        kind = next(arg for arg in args if arg is not type(None)) if nullable else tp
+        nonempty = nonempty and kind is str and not nullable
+        expected = "a non-empty string" if nonempty else _SCALARS[kind]
+        if nullable:
+            expected += " or null"
 
+        def decode_scalar(value, path):
+            if isinstance(value, kind) and not isinstance(value, bool) and (value or not nonempty):
+                return value
+            if value is None and nullable:
+                return None
+            raise DocumentError(f"{path}: expected {expected}")
 
-def _int(obj: dict, key: str, path: str) -> int:
-    value = obj[key]
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise DocumentError(f"{path}.{key}: expected an integer")
-    return value
+        return decode_scalar
 
+    if origin in (tuple, frozenset):
+        decode_item = _decoder(args[0])
 
-def _list(obj: dict, key: str, path: str) -> list:
-    value = obj[key]
-    if not isinstance(value, list):
-        raise DocumentError(f"{path}.{key}: expected a list")
-    return value
+        def decode_list(value, path):
+            if not isinstance(value, list):
+                raise DocumentError(f"{path}: expected a list")
+            return origin([decode_item(item, f"{path}[{idx}]") for idx, item in enumerate(value)])
 
+        return decode_list
 
-def _enum(enum_cls, value: Any, path: str):
-    try:
-        return enum_cls(value)
-    except ValueError:
-        allowed = ", ".join(member.value for member in enum_cls)
-        raise DocumentError(f"{path}: expected one of [{allowed}], got {value!r}") from None
+    if origin is abc.Mapping:
+        decode_value = _decoder(args[1])
+
+        def decode_mapping(value, path):
+            if not isinstance(value, dict):
+                raise DocumentError(f"{path}: expected an object")
+            return {key: decode_value(item, f"{path}.{key}") for key, item in value.items()}
+
+        return decode_mapping
+
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        allowed = ", ".join(member.value for member in tp)
+
+        def decode_enum(value, path):
+            try:
+                return tp(value)
+            except ValueError:
+                raise DocumentError(f"{path}: expected one of [{allowed}], got {value!r}") from None
+
+        return decode_enum
+
+    hints = get_type_hints(tp)
+    fields = tuple(
+        (f.name, _decoder(hints[f.name], f.name not in _FREE_TEXT_FIELDS)) for f in dataclasses.fields(tp)
+    )
+    keys = frozenset(name for name, _ in fields)
+
+    def decode_object(value, path):
+        if not isinstance(value, dict):
+            raise DocumentError(f"{path}: expected an object, got {type(value).__name__}")
+        if value.keys() != keys:
+            missing = keys - set(value)
+            if missing:
+                raise DocumentError(f"{path}: missing keys {sorted(missing)}")
+            raise DocumentError(f"{path}: unknown keys {sorted(set(value) - keys)}")
+        return tp(*[decode(value[name], f"{path}.{name}") for name, decode in fields])
+
+    return decode_object
 
 
 # -- model ------------------------------------------------------------------
@@ -185,128 +214,7 @@ def model_to_doc(model: PpcoModel) -> dict:
 
 
 def model_from_doc(doc: Any) -> PpcoModel:
-    root = _obj(doc, "model")
-    _check_keys(
-        root,
-        {"project_id", "root_artifact_id", "artifacts", "interactions", "processes", "task_flows", "organization"},
-        "model",
-    )
-    artifacts = []
-    for idx, raw in enumerate(_list(root, "artifacts", "model")):
-        path = f"model.artifacts[{idx}]"
-        obj = _obj(raw, path)
-        _check_keys(obj, {"id", "name", "description", "kind", "parent_id"}, path)
-        artifacts.append(
-            Artifact(
-                id=_str(obj, "id", path, nonempty=True),
-                name=_str(obj, "name", path),
-                description=_str(obj, "description", path),
-                kind=_enum(ArtifactKind, obj["kind"], f"{path}.kind"),
-                parent_id=_opt_str(obj, "parent_id", path),
-            )
-        )
-    interactions = []
-    for idx, raw in enumerate(_list(root, "interactions", "model")):
-        path = f"model.interactions[{idx}]"
-        obj = _obj(raw, path)
-        _check_keys(obj, {"id", "endpoint_a", "endpoint_b", "classification", "description"}, path)
-        interactions.append(
-            Interaction(
-                id=_str(obj, "id", path, nonempty=True),
-                endpoint_a=_str(obj, "endpoint_a", path, nonempty=True),
-                endpoint_b=_str(obj, "endpoint_b", path, nonempty=True),
-                classification=_enum(InteractionClass, obj["classification"], f"{path}.classification"),
-                description=_str(obj, "description", path),
-            )
-        )
-    processes = []
-    for p_idx, raw in enumerate(_list(root, "processes", "model")):
-        p_path = f"model.processes[{p_idx}]"
-        p_obj = _obj(raw, p_path)
-        _check_keys(p_obj, {"id", "name", "activities"}, p_path)
-        activities = []
-        for a_idx, a_raw in enumerate(_list(p_obj, "activities", p_path)):
-            a_path = f"{p_path}.activities[{a_idx}]"
-            a_obj = _obj(a_raw, a_path)
-            _check_keys(a_obj, {"id", "process_id", "name", "discipline", "tasks"}, a_path)
-            tasks = []
-            for t_idx, t_raw in enumerate(_list(a_obj, "tasks", a_path)):
-                t_path = f"{a_path}.tasks[{t_idx}]"
-                t_obj = _obj(t_raw, t_path)
-                _check_keys(t_obj, {"id", "activity_id", "name"}, t_path)
-                tasks.append(
-                    Task(
-                        id=_str(t_obj, "id", t_path, nonempty=True),
-                        activity_id=_str(t_obj, "activity_id", t_path, nonempty=True),
-                        name=_str(t_obj, "name", t_path),
-                    )
-                )
-            activities.append(
-                Activity(
-                    id=_str(a_obj, "id", a_path, nonempty=True),
-                    process_id=_str(a_obj, "process_id", a_path, nonempty=True),
-                    name=_str(a_obj, "name", a_path),
-                    discipline=_str(a_obj, "discipline", a_path, nonempty=True),
-                    tasks=tuple(tasks),
-                )
-            )
-        processes.append(
-            Process(
-                id=_str(p_obj, "id", p_path, nonempty=True),
-                name=_str(p_obj, "name", p_path),
-                activities=tuple(activities),
-            )
-        )
-    flows = []
-    for idx, raw in enumerate(_list(root, "task_flows", "model")):
-        path = f"model.task_flows[{idx}]"
-        obj = _obj(raw, path)
-        _check_keys(obj, {"from_task", "to_task", "payload_description"}, path)
-        flows.append(
-            TaskFlow(
-                from_task=_str(obj, "from_task", path, nonempty=True),
-                to_task=_str(obj, "to_task", path, nonempty=True),
-                payload_description=_str(obj, "payload_description", path),
-            )
-        )
-    org_obj = _obj(root["organization"], "model.organization")
-    _check_keys(org_obj, {"teams", "collaboration_matrix"}, "model.organization")
-    teams = []
-    for idx, raw in enumerate(_list(org_obj, "teams", "model.organization")):
-        path = f"model.organization.teams[{idx}]"
-        obj = _obj(raw, path)
-        _check_keys(obj, {"id", "name", "member_actor_ids", "responsibility_artifact_id"}, path)
-        members = _list(obj, "member_actor_ids", path)
-        for m_idx, member in enumerate(members):
-            if not isinstance(member, str) or not member:
-                raise DocumentError(f"{path}.member_actor_ids[{m_idx}]: expected a non-empty string")
-        teams.append(
-            Team(
-                id=_str(obj, "id", path, nonempty=True),
-                name=_str(obj, "name", path),
-                member_actor_ids=tuple(members),
-                responsibility_artifact_id=_str(obj, "responsibility_artifact_id", path, nonempty=True),
-            )
-        )
-    matrix_raw = _list(org_obj, "collaboration_matrix", "model.organization")
-    matrix = []
-    for r_idx, row in enumerate(matrix_raw):
-        path = f"model.organization.collaboration_matrix[{r_idx}]"
-        if not isinstance(row, list):
-            raise DocumentError(f"{path}: expected a list")
-        for c_idx, cell in enumerate(row):
-            if not isinstance(cell, int) or isinstance(cell, bool):
-                raise DocumentError(f"{path}[{c_idx}]: expected an integer")
-        matrix.append(tuple(row))
-    return PpcoModel(
-        project_id=_str(root, "project_id", "model", nonempty=True),
-        root_artifact_id=_str(root, "root_artifact_id", "model", nonempty=True),
-        artifacts=tuple(artifacts),
-        interactions=tuple(interactions),
-        processes=tuple(processes),
-        task_flows=tuple(flows),
-        organization=Organization(teams=tuple(teams), collaboration_matrix=tuple(matrix)),
-    )
+    return _decoder(PpcoModel)(doc, "model")
 
 
 # -- actors and viewpoints ----------------------------------------------------
@@ -323,24 +231,7 @@ def actor_to_doc(actor: Actor) -> dict:
 
 
 def actor_from_doc(doc: Any) -> Actor:
-    obj = _obj(doc, "actor")
-    _check_keys(obj, {"id", "name", "role", "situation", "team_id", "competences"}, "actor")
-    competences_raw = obj["competences"]
-    if not isinstance(competences_raw, dict):
-        raise DocumentError("actor.competences: expected an object")
-    competences = {}
-    for discipline, value in competences_raw.items():
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise DocumentError(f"actor.competences.{discipline}: expected an integer")
-        competences[discipline] = CompetenceLevel(value)
-    return Actor(
-        id=_str(obj, "id", "actor", nonempty=True),
-        name=_str(obj, "name", "actor"),
-        role=_str(obj, "role", "actor"),
-        situation=_enum(Situation, obj["situation"], "actor.situation"),
-        team_id=_str(obj, "team_id", "actor", nonempty=True),
-        competences=competences,
-    )
+    return _decoder(Actor)(doc, "actor")
 
 
 def viewpoint_to_doc(vp: Viewpoint) -> dict:
@@ -361,37 +252,7 @@ def viewpoint_to_doc(vp: Viewpoint) -> dict:
 
 
 def viewpoint_from_doc(doc: Any) -> Viewpoint:
-    obj = _obj(doc, "viewpoint")
-    _check_keys(obj, {"id", "actor_id", "domain", "objective", "relationships", "importance"}, "viewpoint")
-    domain_obj = _obj(obj["domain"], "viewpoint.domain")
-    _check_keys(domain_obj, {"activity_id", "discipline"}, "viewpoint.domain")
-    objective_obj = _obj(obj["objective"], "viewpoint.objective")
-    _check_keys(objective_obj, {"focus_label", "target_artifact_id"}, "viewpoint.objective")
-    relationships = []
-    for idx, raw in enumerate(_list(obj, "relationships", "viewpoint")):
-        path = f"viewpoint.relationships[{idx}]"
-        rel_obj = _obj(raw, path)
-        _check_keys(rel_obj, {"other_viewpoint_id", "kind"}, path)
-        relationships.append(
-            ViewpointRelationship(
-                other_viewpoint_id=_str(rel_obj, "other_viewpoint_id", path, nonempty=True),
-                kind=_enum(RelationshipKind, rel_obj["kind"], f"{path}.kind"),
-            )
-        )
-    return Viewpoint(
-        id=_str(obj, "id", "viewpoint", nonempty=True),
-        actor_id=_str(obj, "actor_id", "viewpoint", nonempty=True),
-        domain=ViewpointDomain(
-            activity_id=_str(domain_obj, "activity_id", "viewpoint.domain", nonempty=True),
-            discipline=_str(domain_obj, "discipline", "viewpoint.domain", nonempty=True),
-        ),
-        objective=ViewpointObjective(
-            focus_label=_str(objective_obj, "focus_label", "viewpoint.objective"),
-            target_artifact_id=_str(objective_obj, "target_artifact_id", "viewpoint.objective", nonempty=True),
-        ),
-        relationships=tuple(relationships),
-        importance=_int(obj, "importance", "viewpoint"),
-    )
+    return _decoder(Viewpoint)(doc, "viewpoint")
 
 
 # -- filter results -----------------------------------------------------------
@@ -404,25 +265,7 @@ def connexion_list_to_doc(entries: ConnexionLevelList) -> list[dict]:
 
 
 def connexion_list_from_doc(doc: Any, path: str = "entries") -> ConnexionLevelList:
-    if not isinstance(doc, list):
-        raise DocumentError(f"{path}: expected a list")
-    entries = []
-    for idx, raw in enumerate(doc):
-        entry_path = f"{path}[{idx}]"
-        obj = _obj(raw, entry_path)
-        _check_keys(obj, {"batch", "level", "provenance"}, entry_path)
-        provenance = _list(obj, "provenance", entry_path)
-        for p_idx, vp_id in enumerate(provenance):
-            if not isinstance(vp_id, str) or not vp_id:
-                raise DocumentError(f"{entry_path}.provenance[{p_idx}]: expected a non-empty string")
-        entries.append(
-            ConnexionEntry(
-                batch=_str(obj, "batch", entry_path, nonempty=True),
-                level=_int(obj, "level", entry_path),
-                provenance=frozenset(provenance),
-            )
-        )
-    return ConnexionLevelList.from_entries(entries)
+    return ConnexionLevelList.from_entries(_decoder(tuple[ConnexionEntry, ...])(doc, path))
 
 
 def filter_result_to_doc(result: FilterResult, include_audit: bool = True) -> dict:
@@ -457,38 +300,7 @@ def change_to_doc(change: ChangeProposal) -> dict:
 
 
 def change_from_doc(doc: Any) -> ChangeProposal:
-    obj = _obj(doc, "change")
-    _check_keys(
-        obj,
-        {"id", "author_actor_id", "artifact_id", "batch", "delta", "status", "concerned", "decisions", "created", "resolved"},
-        "change",
-    )
-    concerned = _list(obj, "concerned", "change")
-    for idx, actor_id in enumerate(concerned):
-        if not isinstance(actor_id, str) or not actor_id:
-            raise DocumentError(f"change.concerned[{idx}]: expected a non-empty string")
-    decisions_raw = obj["decisions"]
-    if not isinstance(decisions_raw, dict):
-        raise DocumentError("change.decisions: expected an object")
-    decisions = {
-        actor: _enum(Decision, value, f"change.decisions.{actor}")
-        for actor, value in decisions_raw.items()
-    }
-    resolved = obj["resolved"]
-    if resolved is not None and (not isinstance(resolved, int) or isinstance(resolved, bool)):
-        raise DocumentError("change.resolved: expected an integer or null")
-    return ChangeProposal(
-        id=_str(obj, "id", "change", nonempty=True),
-        author_actor_id=_str(obj, "author_actor_id", "change", nonempty=True),
-        artifact_id=_str(obj, "artifact_id", "change", nonempty=True),
-        batch=_str(obj, "batch", "change", nonempty=True),
-        delta=obj["delta"],
-        status=_enum(ChangeStatus, obj["status"], "change.status"),
-        concerned=frozenset(concerned),
-        decisions=decisions,
-        created=_int(obj, "created", "change"),
-        resolved=resolved,
-    )
+    return _decoder(ChangeProposal)(doc, "change")
 
 
 def annotation_to_doc(annotation: Annotation) -> dict:
@@ -503,16 +315,7 @@ def annotation_to_doc(annotation: Annotation) -> dict:
 
 
 def annotation_from_doc(doc: Any) -> Annotation:
-    obj = _obj(doc, "annotation")
-    _check_keys(obj, {"id", "change_id", "actor_id", "artifact_id", "batch", "created"}, "annotation")
-    return Annotation(
-        id=_str(obj, "id", "annotation", nonempty=True),
-        change_id=_str(obj, "change_id", "annotation", nonempty=True),
-        actor_id=_str(obj, "actor_id", "annotation", nonempty=True),
-        artifact_id=_str(obj, "artifact_id", "annotation", nonempty=True),
-        batch=_str(obj, "batch", "annotation", nonempty=True),
-        created=_int(obj, "created", "annotation"),
-    )
+    return _decoder(Annotation)(doc, "annotation")
 
 
 def violations_to_doc(violations: Iterable[Violation]) -> dict:

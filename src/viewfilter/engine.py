@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import NotFoundError
 from .model import PpcoModel
 from .policy import (
     ConnexionEntry,
@@ -89,11 +88,8 @@ def filtering_info_artifact(ws: Workspace, artifact_id: str, actor_id: str) -> F
     order them by competence, evaluate each against the policy, then fold the
     per-viewpoint lists with the minimum-level merge (seeded with the first).
     """
-    if actor_id not in ws.actors:
-        raise NotFoundError(f"unknown actor: {actor_id}")
-    ws.model.artifact(artifact_id)
-
     all_vps = restitution_list_viewpoint(ws.actors, ws.viewpoints, actor_id)
+    ws.model.artifact(artifact_id)
     on_artifact = filtering_list_vp_artifact(ws.model, all_vps, artifact_id)
     ordered = classification_vp(ws.actors, on_artifact)
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from .errors import InvalidInputError, PolicyParseError, PolicySemanticError
-from .viewpoints import Actor, CompetenceLevel, Viewpoint
+from .viewpoints import Actor, CompetenceLevel, Viewpoint, competence_for
 
 _TAG = r"[A-Za-z0-9_.-]+"
 _BATCH_RE = re.compile(rf"^{_TAG}$")
@@ -45,6 +45,13 @@ _GRANT_SEGMENTS = (
 )
 
 
+def _check_batch_level(batch: str, level: int) -> None:
+    if not batch or not _BATCH_RE.match(batch):
+        raise InvalidInputError(f"invalid batch name: {batch!r}")
+    if not isinstance(level, int) or isinstance(level, bool) or level < 1:
+        raise InvalidInputError(f"batch level must be an integer >= 1, got {level!r}")
+
+
 @dataclass(frozen=True)
 class Grant:
     """One granted batch at one access level (level >= 1)."""
@@ -53,10 +60,7 @@ class Grant:
     level: int
 
     def __post_init__(self):
-        if not self.batch or not _BATCH_RE.match(self.batch):
-            raise InvalidInputError(f"invalid batch name: {self.batch!r}")
-        if not isinstance(self.level, int) or isinstance(self.level, bool) or self.level < 1:
-            raise InvalidInputError(f"batch level must be an integer >= 1, got {self.level!r}")
+        _check_batch_level(self.batch, self.level)
 
 
 @dataclass(frozen=True)
@@ -103,10 +107,7 @@ class ConnexionEntry:
     provenance: frozenset[str]
 
     def __post_init__(self):
-        if not self.batch or not _BATCH_RE.match(self.batch):
-            raise InvalidInputError(f"invalid batch name: {self.batch!r}")
-        if not isinstance(self.level, int) or isinstance(self.level, bool) or self.level < 1:
-            raise InvalidInputError(f"batch level must be an integer >= 1, got {self.level!r}")
+        _check_batch_level(self.batch, self.level)
         object.__setattr__(self, "provenance", frozenset(self.provenance))
 
 
@@ -243,12 +244,7 @@ def restitution_list_connexion_level(
         raise InvalidInputError(
             f"viewpoint {viewpoint.id} belongs to actor {viewpoint.actor_id}, not {actor.id}"
         )
-    competence = actor.competences.get(viewpoint.domain.discipline)
-    if competence is None:
-        raise InvalidInputError(
-            f"viewpoint {viewpoint.id}: actor {actor.id} has no competence entry "
-            f"for discipline {viewpoint.domain.discipline}"
-        )
+    competence = competence_for(actor, viewpoint)
     levels: dict[str, int] = {}
     for rule in policy.rules:
         if rule.matches(viewpoint.domain.discipline, viewpoint.domain.activity_id, competence):

@@ -15,7 +15,7 @@ from urllib.parse import parse_qs, urlparse
 from . import documents
 from .changes import ChangeWorkflow
 from .engine import filtering_info_artifact
-from .errors import DomainError, InvalidInputError, NotFoundError
+from .errors import DocumentError, DomainError, InvalidInputError, NotFoundError
 from .store import Store
 
 
@@ -115,15 +115,27 @@ def make_handler(store: Store):
             self.end_headers()
             self.wfile.write(payload)
 
+        def _read_body(self):
+            header = self.headers.get("Content-Length", "0")
+            try:
+                length = int(header)
+            except ValueError:
+                length = -1
+            if length < 0:
+                raise InvalidInputError(f"Content-Length must be a non-negative integer, got {header!r}")
+            try:
+                raw = self.rfile.read(length).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DocumentError(f"request body is not UTF-8: {exc}") from None
+            return documents.canonical_loads(raw) if raw else None
+
         def _dispatch(self, method: str) -> None:
             parsed = urlparse(self.path)
             query = parse_qs(parsed.query)
             body = None
             try:
                 if method == "POST":
-                    length = int(self.headers.get("Content-Length", 0))
-                    raw = self.rfile.read(length).decode("utf-8") if length else ""
-                    body = documents.canonical_loads(raw) if raw else None
+                    body = self._read_body()
                 for route_method, pattern, handler in _ROUTES:
                     if route_method != method:
                         continue

@@ -85,14 +85,20 @@ class Viewpoint:
             raise InvalidInputError(f"importance must be an integer in [1, 5], got {self.importance!r}")
 
 
+def _actor(actors: Mapping[str, Actor], actor_id: str) -> Actor:
+    actor = actors.get(actor_id)
+    if actor is None:
+        raise NotFoundError(f"unknown actor: {actor_id}")
+    return actor
+
+
 def restitution_list_viewpoint(
     actors: Mapping[str, Actor],
     viewpoints: Mapping[str, Viewpoint],
     actor_id: str,
 ) -> list[Viewpoint]:
     """Step 1: every registered viewpoint of the actor, sorted by viewpoint id."""
-    if actor_id not in actors:
-        raise NotFoundError(f"unknown actor: {actor_id}")
+    _actor(actors, actor_id)
     return sorted((vp for vp in viewpoints.values() if vp.actor_id == actor_id), key=lambda vp: vp.id)
 
 
@@ -110,11 +116,8 @@ def filtering_list_vp_artifact(
     return [vp for vp in viewpoints if vp.objective.target_artifact_id in covering]
 
 
-def competence_for(actors: Mapping[str, Actor], viewpoint: Viewpoint) -> CompetenceLevel:
+def competence_for(actor: Actor, viewpoint: Viewpoint) -> CompetenceLevel:
     """The holding actor's competence in the viewpoint's discipline."""
-    actor = actors.get(viewpoint.actor_id)
-    if actor is None:
-        raise NotFoundError(f"unknown actor: {viewpoint.actor_id}")
     level = actor.competences.get(viewpoint.domain.discipline)
     if level is None:
         raise InvalidInputError(
@@ -129,7 +132,7 @@ def classification_vp(
     viewpoints: Sequence[Viewpoint],
 ) -> list[Viewpoint]:
     """Step 3: order by the actor's competence, highest first; ties by id."""
-    keyed = [(competence_for(actors, vp), vp) for vp in viewpoints]
+    keyed = [(competence_for(_actor(actors, vp.actor_id), vp), vp) for vp in viewpoints]
     return [vp for _, vp in sorted(keyed, key=lambda pair: (-pair[0].value, pair[1].id))]
 
 

@@ -72,6 +72,21 @@ class TestModelCommands:
         assert code == 1
         assert [v["code"] for v in json.loads(out)["violations"]] == ["organization.asymmetric_matrix"]
 
+    def test_import_missing_file_gets_error_document(self, run, tmp_path):
+        missing = tmp_path / "missing.json"
+        code, out = run("--store", tmp_path / "store", "model", "import", missing)
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["code"] == "invalid_input"
+        assert str(missing) in error["message"]
+
+    def test_import_non_utf8_file_gets_error_document(self, run, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_bytes(b"\xff\xfe")
+        code, out = run("--store", tmp_path / "store", "model", "import", path)
+        assert code == 1
+        assert json.loads(out)["error"]["code"] == "bad_document"
+
     def test_import_reads_stdin(self, run, tmp_path, model_doc, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(model_doc)))
         code, out = run("--store", tmp_path / "store", "model", "import", "-")

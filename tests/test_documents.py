@@ -1,7 +1,10 @@
+import copy
+
 import pytest
 
 from viewfilter import documents, fixture
 from viewfilter.changes import ChangeWorkflow
+from viewfilter.engine import filtering_info_artifact
 from viewfilter.errors import DocumentError
 
 
@@ -60,6 +63,156 @@ class TestStrictParsing:
         result = filtering_info_artifact(workspace, "CycloneVessel", "ActorX")
         doc = documents.connexion_list_to_doc(result.entries)
         assert documents.connexion_list_to_doc(documents.connexion_list_from_doc(doc)) == doc
+
+
+@pytest.fixture(scope="module")
+def proposed(tmp_path_factory):
+    """A change document and its annotation, as written by a real proposal."""
+    store = fixture.seed_store(tmp_path_factory.mktemp("proposed") / "store")
+    change = ChangeWorkflow(store).propose("ActorX", "CycloneVessel", "Geometry-Form", {"description": "inlet wall +2 mm"})
+    (annotation,) = store.list_annotations("ActorY")
+    return documents.change_to_doc(change), documents.annotation_to_doc(annotation)
+
+
+class TestWorkflowRoundTrip:
+    def test_change_document_round_trips_byte_for_byte(self, proposed):
+        text = documents.canonical_dumps(proposed[0])
+        decoded = documents.change_from_doc(documents.canonical_loads(text))
+        assert documents.canonical_dumps(documents.change_to_doc(decoded)) == text
+
+    def test_annotation_document_round_trips_byte_for_byte(self, proposed):
+        text = documents.canonical_dumps(proposed[1])
+        decoded = documents.annotation_from_doc(documents.canonical_loads(text))
+        assert documents.canonical_dumps(documents.annotation_to_doc(decoded)) == text
+
+
+_DELETE = object()
+
+# (document kind, JSON path to change, new value or _DELETE, exact message);
+# a path ending in a key absent from the document adds that key.
+_ERROR_TABLE = [
+    # missing and unknown keys, at the root and nested
+    ("model", ("interactions",), _DELETE, "model: missing keys ['interactions']"),
+    ("model", ("organization", "teams"), _DELETE, "model.organization: missing keys ['teams']"),
+    ("model", ("processes", 0, "activities", 0, "tasks", 1, "name"), _DELETE,
+     "model.processes[0].activities[0].tasks[1]: missing keys ['name']"),
+    ("actor", ("extra",), 1, "actor: unknown keys ['extra']"),
+    ("viewpoint", ("objective", "extra"), 1, "viewpoint.objective: unknown keys ['extra']"),
+    ("entries", (0, "extra"), 1, "entries[0]: unknown keys ['extra']"),
+    ("annotation", ("created",), _DELETE, "annotation: missing keys ['created']"),
+    # not an object: a dataclass names the type found, a mapping does not
+    ("model", (), [], "model: expected an object, got list"),
+    ("model", ("artifacts", 2), "x", "model.artifacts[2]: expected an object, got str"),
+    ("model", ("organization",), None, "model.organization: expected an object, got NoneType"),
+    ("viewpoint", ("domain",), 1, "viewpoint.domain: expected an object, got int"),
+    ("entries", (1,), [], "entries[1]: expected an object, got list"),
+    ("actor", ("competences",), [], "actor.competences: expected an object"),
+    ("change", ("decisions",), None, "change.decisions: expected an object"),
+    # an empty identifier, at each depth and inside lists
+    ("model", ("project_id",), "", "model.project_id: expected a non-empty string"),
+    ("model", ("processes", 0, "activities", 0, "discipline"), "",
+     "model.processes[0].activities[0].discipline: expected a non-empty string"),
+    ("model", ("organization", "teams", 0, "member_actor_ids", 0), "",
+     "model.organization.teams[0].member_actor_ids[0]: expected a non-empty string"),
+    ("viewpoint", ("domain", "activity_id"), "", "viewpoint.domain.activity_id: expected a non-empty string"),
+    ("viewpoint", ("relationships", 0, "other_viewpoint_id"), "",
+     "viewpoint.relationships[0].other_viewpoint_id: expected a non-empty string"),
+    ("entries", (0, "provenance", 1), "", "entries[0].provenance[1]: expected a non-empty string"),
+    ("change", ("concerned", 0), "", "change.concerned[0]: expected a non-empty string"),
+    ("annotation", ("batch",), "", "annotation.batch: expected a non-empty string"),
+    # a wrong type for a free-text field
+    ("model", ("artifacts", 0, "name"), 5, "model.artifacts[0].name: expected a string"),
+    ("actor", ("role",), None, "actor.role: expected a string"),
+    ("viewpoint", ("objective", "focus_label"), [], "viewpoint.objective.focus_label: expected a string"),
+    # a bool where an integer is expected
+    ("viewpoint", ("importance",), True, "viewpoint.importance: expected an integer"),
+    ("entries", (0, "level"), False, "entries[0].level: expected an integer"),
+    ("change", ("created",), True, "change.created: expected an integer"),
+    ("annotation", ("created",), "2", "annotation.created: expected an integer"),
+    # a bad enum value
+    ("model", ("artifacts", 3, "kind"), "gadget",
+     "model.artifacts[3].kind: expected one of [final_product, sub_artifact, component], got 'gadget'"),
+    ("model", ("interactions", 0, "classification"), None,
+     "model.interactions[0].classification: expected one of [space, energy, material, information], got None"),
+    ("actor", ("situation",), "partner", "actor.situation: expected one of [internal, external_partner], got 'partner'"),
+    ("viewpoint", ("relationships", 0, "kind"), [],
+     "viewpoint.relationships[0].kind: expected one of [complements, refines, conflicts], got []"),
+    ("change", ("status",), "open", "change.status: expected one of [pending, effective, rejected, withdrawn], got 'open'"),
+    # string or null, integer or null
+    ("model", ("artifacts", 0, "parent_id"), 3, "model.artifacts[0].parent_id: expected a string or null"),
+    ("change", ("resolved",), "1", "change.resolved: expected an integer or null"),
+    ("change", ("resolved",), False, "change.resolved: expected an integer or null"),
+    # not a list, for a field, a matrix row and the top-level entries
+    ("model", ("artifacts",), {}, "model.artifacts: expected a list"),
+    ("model", ("processes", 0, "activities"), None, "model.processes[0].activities: expected a list"),
+    ("model", ("organization", "collaboration_matrix", 1), 4,
+     "model.organization.collaboration_matrix[1]: expected a list"),
+    ("viewpoint", ("relationships",), "VP2", "viewpoint.relationships: expected a list"),
+    ("entries", (), {}, "entries: expected a list"),
+    ("change", ("concerned",), "ActorY", "change.concerned: expected a list"),
+    # a matrix cell and a mapping value
+    ("model", ("organization", "collaboration_matrix", 0, 1), True,
+     "model.organization.collaboration_matrix[0][1]: expected an integer"),
+    ("model", ("organization", "collaboration_matrix", 2, 0), "3",
+     "model.organization.collaboration_matrix[2][0]: expected an integer"),
+    ("actor", ("competences", "geometry"), True, "actor.competences.geometry: expected an integer"),
+    ("change", ("decisions", "ActorY"), "maybe", "change.decisions.ActorY: expected one of [approve, reject], got 'maybe'"),
+]
+
+
+def _edit(doc, path, value):
+    """``doc`` with the value at ``path`` replaced (or, for _DELETE, removed)."""
+    if not path:
+        return value
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+@pytest.fixture()
+def sample_docs(model_doc, workspace, proposed):
+    entries = filtering_info_artifact(workspace, "CycloneVessel", "ActorX").entries
+    return {
+        "model": (documents.model_from_doc, model_doc),
+        "actor": (documents.actor_from_doc, documents.actor_to_doc(fixture.example_actors()[0])),
+        "viewpoint": (documents.viewpoint_from_doc, documents.viewpoint_to_doc(fixture.example_viewpoints()[0])),
+        "entries": (documents.connexion_list_from_doc, documents.connexion_list_to_doc(entries)),
+        "change": (documents.change_from_doc, copy.deepcopy(proposed[0])),
+        "annotation": (documents.annotation_from_doc, copy.deepcopy(proposed[1])),
+    }
+
+
+class TestErrorMessages:
+    @pytest.mark.parametrize(
+        ("kind", "path", "value", "message"),
+        _ERROR_TABLE,
+        ids=[message for _, _, _, message in _ERROR_TABLE],
+    )
+    def test_exact_message(self, sample_docs, kind, path, value, message):
+        decode, doc = sample_docs[kind]
+        with pytest.raises(DocumentError) as info:
+            decode(_edit(doc, path, value))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        ("kind", "path"),
+        [
+            ("model", ("artifacts", 0, "name")),
+            ("model", ("artifacts", 0, "parent_id")),
+            ("model", ("processes", 0, "activities", 0, "tasks", 0, "name")),
+            ("model", ("task_flows", 0, "payload_description")),
+            ("actor", ("role",)),
+            ("viewpoint", ("objective", "focus_label")),
+        ],
+    )
+    def test_free_text_and_optional_fields_may_be_empty(self, sample_docs, kind, path):
+        decode, doc = sample_docs[kind]
+        decode(_edit(doc, path, ""))
 
 
 class TestDeltaValidation:

@@ -136,6 +136,10 @@ class TestPipeline:
         with pytest.raises(NotFoundError):
             filtering_info_artifact(workspace, "Ghost", "ActorX")
 
+    def test_unknown_actor_reported_before_unknown_artifact(self, workspace):
+        with pytest.raises(NotFoundError, match="^unknown actor: Nobody$"):
+            filtering_info_artifact(workspace, "Ghost", "Nobody")
+
     @pytest.mark.parametrize(
         "artifact_id,actor_id",
         [

@@ -1,4 +1,5 @@
 import json
+import socket
 import urllib.error
 import urllib.request
 
@@ -20,6 +21,19 @@ def request(base, method, path, body=None):
             return resp.status, resp.read()
     except urllib.error.HTTPError as err:
         return err.code, err.read()
+
+
+def raw_post(base, path, headers, body=b""):
+    """POST exactly the given header lines and body bytes; returns (status, body)."""
+    host, port = base.removeprefix("http://").split(":")
+    head = "".join(f"{line}\r\n" for line in [f"POST {path} HTTP/1.1", f"Host: {host}", *headers])
+    with socket.create_connection((host, int(port)), timeout=10) as sock:
+        sock.sendall(head.encode("ascii") + b"\r\n" + body)
+        response = b""
+        while chunk := sock.recv(65536):
+            response += chunk
+    status_line, _, rest = response.partition(b"\r\n")
+    return int(status_line.split()[1]), rest.partition(b"\r\n\r\n")[2]
 
 
 class TestModelEndpoints:
@@ -162,6 +176,25 @@ class TestChangeEndpoints:
         base, _ = service
         status, _ = request(base, "POST", "/changes", {"author_actor_id": "ActorX"})
         assert status == 422
+
+
+class TestBodyErrors:
+    def test_non_utf8_body_gets_bad_document(self, service):
+        base, store = service
+        status, body = raw_post(base, "/changes", ["Content-Length: 2"], b"\xff\xfe")
+        assert status == 422
+        assert json.loads(body)["error"]["code"] == "bad_document"
+        assert store.list_changes() == []
+
+    @pytest.mark.parametrize("length", ["abc", "-5", "-1"])
+    def test_bad_content_length_gets_invalid_input(self, service, length):
+        base, store = service
+        status, body = raw_post(base, "/changes", [f"Content-Length: {length}"])
+        assert status == 422
+        error = json.loads(body)["error"]
+        assert error["code"] == "invalid_input"
+        assert repr(length) in error["message"]
+        assert store.list_changes() == []
 
 
 class TestCliParity:
