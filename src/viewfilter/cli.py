@@ -143,7 +143,6 @@ def _run(args) -> int:
         elif args.subcommand == "list":
             _emit_doc({"actors": [documents.actor_to_doc(a) for a in store.list_actors()]})
         else:
-            store.get_actor(args.actor_id)
             annotations = store.list_annotations(args.actor_id)
             _emit_doc({"annotations": [documents.annotation_to_doc(a) for a in annotations]})
 

@@ -11,6 +11,16 @@ free-text fields (``name``, ``description``, ``role``, ``focus_label`` and
 ``payload_description``) may be ``""``, and a nullable field takes ``null``
 or any string. A competence level is a bare integer. Referential problems
 are left to the validators (violations are data, not parse failures).
+
+Encoding reads the same dataclasses, so each stored entity's schema is
+written once. Enums and competence levels encode as their value, and an
+``Any`` field (a change's ``delta``) passes through as is, uncopied. A
+frozenset, or a tuple of strings, is sorted. A tuple of dataclasses is
+sorted by ``id`` when the element type has one, and otherwise by all of its
+fields in declaration order; the sort is stable, so elements with equal keys
+keep their input order. Any other tuple keeps its order. ``Organization`` is
+the one special case: a square collaboration matrix is permuted to follow
+the sorted team order, and any other matrix is left as it is.
 """
 
 from __future__ import annotations
@@ -20,13 +30,14 @@ import json
 from collections import abc
 from enum import Enum
 from functools import cache
+from operator import attrgetter, itemgetter
 from types import UnionType
 from typing import Any, Callable, Iterable, Union, get_args, get_origin, get_type_hints
 
 from .changes import Annotation, ChangeProposal
 from .engine import FilterResult
 from .errors import DocumentError
-from .model import PpcoModel, Violation
+from .model import Organization, PpcoModel, Violation
 from .policy import ConnexionEntry, ConnexionLevelList
 from .viewpoints import Actor, CompetenceLevel, Viewpoint
 
@@ -53,7 +64,7 @@ _SCALARS = {str: "a string", int: "an integer"}
 
 
 @cache
-def _decoder(tp: Any, nonempty: bool = True) -> Callable[[Any, str], Any]:
+def decoder(tp: Any, nonempty: bool = True) -> Callable[[Any, str], Any]:
     """The strict decoding function for values of type ``tp``.
 
     It is built once per type from the dataclass fields and their type hints;
@@ -66,7 +77,7 @@ def _decoder(tp: Any, nonempty: bool = True) -> Callable[[Any, str], Any]:
         return lambda value, path: value
 
     if tp is CompetenceLevel:
-        decode_int = _decoder(int)
+        decode_int = decoder(int)
         return lambda value, path: CompetenceLevel(decode_int(value, path))
 
     if tp in _SCALARS or origin in (Union, UnionType):
@@ -87,7 +98,7 @@ def _decoder(tp: Any, nonempty: bool = True) -> Callable[[Any, str], Any]:
         return decode_scalar
 
     if origin in (tuple, frozenset):
-        decode_item = _decoder(args[0])
+        decode_item = decoder(args[0])
 
         def decode_list(value, path):
             if not isinstance(value, list):
@@ -97,7 +108,7 @@ def _decoder(tp: Any, nonempty: bool = True) -> Callable[[Any, str], Any]:
         return decode_list
 
     if origin is abc.Mapping:
-        decode_value = _decoder(args[1])
+        decode_value = decoder(args[1])
 
         def decode_mapping(value, path):
             if not isinstance(value, dict):
@@ -119,7 +130,7 @@ def _decoder(tp: Any, nonempty: bool = True) -> Callable[[Any, str], Any]:
 
     hints = get_type_hints(tp)
     fields = tuple(
-        (f.name, _decoder(hints[f.name], f.name not in _FREE_TEXT_FIELDS)) for f in dataclasses.fields(tp)
+        (f.name, decoder(hints[f.name], f.name not in _FREE_TEXT_FIELDS)) for f in dataclasses.fields(tp)
     )
     keys = frozenset(name for name, _ in fields)
 
@@ -136,126 +147,95 @@ def _decoder(tp: Any, nonempty: bool = True) -> Callable[[Any, str], Any]:
     return decode_object
 
 
-# -- model ------------------------------------------------------------------
+@cache
+def _encoder(tp: Any) -> Callable[[Any], Any]:
+    """The canonical encoding function for values of type ``tp``, built once per type."""
+    origin, args = get_origin(tp), get_args(tp)
+
+    if tp is CompetenceLevel or (isinstance(tp, type) and issubclass(tp, Enum)):
+        return attrgetter("value")
+
+    if origin is abc.Mapping:
+        encode_value = _encoder(args[1])
+        return lambda value: {key: encode_value(item) for key, item in value.items()}
+
+    if origin in (tuple, frozenset):
+        encode_item = _encoder(args[0])
+        if dataclasses.is_dataclass(args[0]):
+            names = [f.name for f in dataclasses.fields(args[0])]
+            key = itemgetter("id") if "id" in names else itemgetter(*names)
+            return lambda value: sorted(map(encode_item, value), key=key)
+        if origin is frozenset or args[0] is str:
+            return lambda value: sorted(map(encode_item, value))
+        return lambda value: list(map(encode_item, value))
+
+    if not dataclasses.is_dataclass(tp):
+        return lambda value: value
+
+    hints = get_type_hints(tp)
+    fields = tuple((f.name, _encoder(hints[f.name])) for f in dataclasses.fields(tp))
+
+    def encode_object(value):
+        return {name: encode(getattr(value, name)) for name, encode in fields}
+
+    if tp is not Organization:
+        return encode_object
+
+    def encode_organization(org):
+        doc = encode_object(org)
+        n, matrix = len(org.teams), org.collaboration_matrix
+        if len(matrix) == n and all(len(row) == n for row in matrix):
+            order = sorted(range(n), key=lambda i: org.teams[i].id)
+            doc["collaboration_matrix"] = [[matrix[i][j] for j in order] for i in order]
+        return doc
+
+    return encode_organization
+
+
+# -- stored entities ------------------------------------------------------------
 
 def model_to_doc(model: PpcoModel) -> dict:
-    org = model.organization
-    order = sorted(range(len(org.teams)), key=lambda i: org.teams[i].id)
-    matrix = org.collaboration_matrix
-    square = len(matrix) == len(org.teams) and all(len(row) == len(org.teams) for row in matrix)
-    if square:
-        matrix_doc = [[matrix[i][j] for j in order] for i in order]
-    else:
-        matrix_doc = [list(row) for row in matrix]
-    return {
-        "project_id": model.project_id,
-        "root_artifact_id": model.root_artifact_id,
-        "artifacts": [
-            {
-                "id": a.id,
-                "name": a.name,
-                "description": a.description,
-                "kind": a.kind.value,
-                "parent_id": a.parent_id,
-            }
-            for a in sorted(model.artifacts, key=lambda a: a.id)
-        ],
-        "interactions": [
-            {
-                "id": i.id,
-                "endpoint_a": i.endpoint_a,
-                "endpoint_b": i.endpoint_b,
-                "classification": i.classification.value,
-                "description": i.description,
-            }
-            for i in sorted(model.interactions, key=lambda i: i.id)
-        ],
-        "processes": [
-            {
-                "id": p.id,
-                "name": p.name,
-                "activities": [
-                    {
-                        "id": act.id,
-                        "process_id": act.process_id,
-                        "name": act.name,
-                        "discipline": act.discipline,
-                        "tasks": [
-                            {"id": t.id, "activity_id": t.activity_id, "name": t.name}
-                            for t in sorted(act.tasks, key=lambda t: t.id)
-                        ],
-                    }
-                    for act in sorted(p.activities, key=lambda act: act.id)
-                ],
-            }
-            for p in sorted(model.processes, key=lambda p: p.id)
-        ],
-        "task_flows": [
-            {
-                "from_task": f.from_task,
-                "to_task": f.to_task,
-                "payload_description": f.payload_description,
-            }
-            for f in sorted(model.task_flows, key=lambda f: (f.from_task, f.to_task, f.payload_description))
-        ],
-        "organization": {
-            "teams": [
-                {
-                    "id": t.id,
-                    "name": t.name,
-                    "member_actor_ids": sorted(t.member_actor_ids),
-                    "responsibility_artifact_id": t.responsibility_artifact_id,
-                }
-                for t in sorted(org.teams, key=lambda t: t.id)
-            ],
-            "collaboration_matrix": matrix_doc,
-        },
-    }
+    return _encoder(PpcoModel)(model)
 
 
 def model_from_doc(doc: Any) -> PpcoModel:
-    return _decoder(PpcoModel)(doc, "model")
+    return decoder(PpcoModel)(doc, "model")
 
-
-# -- actors and viewpoints ----------------------------------------------------
 
 def actor_to_doc(actor: Actor) -> dict:
-    return {
-        "id": actor.id,
-        "name": actor.name,
-        "role": actor.role,
-        "situation": actor.situation.value,
-        "team_id": actor.team_id,
-        "competences": {discipline: level.value for discipline, level in actor.competences.items()},
-    }
+    return _encoder(Actor)(actor)
 
 
 def actor_from_doc(doc: Any) -> Actor:
-    return _decoder(Actor)(doc, "actor")
+    return decoder(Actor)(doc, "actor")
 
 
 def viewpoint_to_doc(vp: Viewpoint) -> dict:
-    return {
-        "id": vp.id,
-        "actor_id": vp.actor_id,
-        "domain": {"activity_id": vp.domain.activity_id, "discipline": vp.domain.discipline},
-        "objective": {
-            "focus_label": vp.objective.focus_label,
-            "target_artifact_id": vp.objective.target_artifact_id,
-        },
-        "relationships": [
-            {"other_viewpoint_id": rel.other_viewpoint_id, "kind": rel.kind.value}
-            for rel in sorted(vp.relationships, key=lambda r: (r.other_viewpoint_id, r.kind.value))
-        ],
-        "importance": vp.importance,
-    }
+    return _encoder(Viewpoint)(vp)
 
 
 def viewpoint_from_doc(doc: Any) -> Viewpoint:
-    return _decoder(Viewpoint)(doc, "viewpoint")
+    return decoder(Viewpoint)(doc, "viewpoint")
+
+
+def change_to_doc(change: ChangeProposal) -> dict:
+    return _encoder(ChangeProposal)(change)
+
+
+def change_from_doc(doc: Any) -> ChangeProposal:
+    return decoder(ChangeProposal)(doc, "change")
+
+
+def annotation_to_doc(annotation: Annotation) -> dict:
+    return _encoder(Annotation)(annotation)
+
+
+def annotation_from_doc(doc: Any) -> Annotation:
+    return decoder(Annotation)(doc, "annotation")
 
 
 # -- filter results -----------------------------------------------------------
+# Hand-written: they serve every filter, and the audit keeps classification order.
 
 def connexion_list_to_doc(entries: ConnexionLevelList) -> list[dict]:
     return [
@@ -265,7 +245,7 @@ def connexion_list_to_doc(entries: ConnexionLevelList) -> list[dict]:
 
 
 def connexion_list_from_doc(doc: Any, path: str = "entries") -> ConnexionLevelList:
-    return ConnexionLevelList.from_entries(_decoder(tuple[ConnexionEntry, ...])(doc, path))
+    return ConnexionLevelList.from_entries(decoder(tuple[ConnexionEntry, ...])(doc, path))
 
 
 def filter_result_to_doc(result: FilterResult, include_audit: bool = True) -> dict:
@@ -280,42 +260,6 @@ def filter_result_to_doc(result: FilterResult, include_audit: bool = True) -> di
             for a in result.audit
         ]
     return doc
-
-
-# -- change workflow ----------------------------------------------------------
-
-def change_to_doc(change: ChangeProposal) -> dict:
-    return {
-        "id": change.id,
-        "author_actor_id": change.author_actor_id,
-        "artifact_id": change.artifact_id,
-        "batch": change.batch,
-        "delta": change.delta,
-        "status": change.status.value,
-        "concerned": sorted(change.concerned),
-        "decisions": {actor: decision.value for actor, decision in change.decisions.items()},
-        "created": change.created,
-        "resolved": change.resolved,
-    }
-
-
-def change_from_doc(doc: Any) -> ChangeProposal:
-    return _decoder(ChangeProposal)(doc, "change")
-
-
-def annotation_to_doc(annotation: Annotation) -> dict:
-    return {
-        "id": annotation.id,
-        "change_id": annotation.change_id,
-        "actor_id": annotation.actor_id,
-        "artifact_id": annotation.artifact_id,
-        "batch": annotation.batch,
-        "created": annotation.created,
-    }
-
-
-def annotation_from_doc(doc: Any) -> Annotation:
-    return _decoder(Annotation)(doc, "annotation")
 
 
 def violations_to_doc(violations: Iterable[Violation]) -> dict:

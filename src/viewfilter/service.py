@@ -8,8 +8,10 @@ conflict or invalid-state, 422 validation failure).
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from typing import Any
 from urllib.parse import parse_qs, urlparse
 
 from . import documents
@@ -28,15 +30,13 @@ def _post_model(store: Store, match, query, body):
 
 
 def _get_actor_viewpoints(store: Store, match, query, body):
-    actor_id = match.group("actor_id")
-    store.get_actor(actor_id)
-    return 200, {"viewpoints": [documents.viewpoint_to_doc(vp) for vp in store.list_viewpoints(actor_id)]}
+    viewpoints = store.list_viewpoints(match.group("actor_id"))
+    return 200, {"viewpoints": [documents.viewpoint_to_doc(vp) for vp in viewpoints]}
 
 
 def _get_actor_annotations(store: Store, match, query, body):
-    actor_id = match.group("actor_id")
-    store.get_actor(actor_id)
-    return 200, {"annotations": [documents.annotation_to_doc(a) for a in store.list_annotations(actor_id)]}
+    annotations = store.list_annotations(match.group("actor_id"))
+    return 200, {"annotations": [documents.annotation_to_doc(a) for a in annotations]}
 
 
 def _get_filter(store: Store, match, query, body):
@@ -47,39 +47,42 @@ def _get_filter(store: Store, match, query, body):
     return 200, documents.filter_result_to_doc(result, include_audit=True)
 
 
+@dataclass(frozen=True)
+class _ProposalBody:
+    author_actor_id: str
+    artifact_id: str
+    batch: str
+    delta: Any
+
+
+@dataclass(frozen=True)
+class _DecisionBody:
+    actor_id: str
+    decision: str
+
+
+@dataclass(frozen=True)
+class _WithdrawBody:
+    actor_id: str
+
+
 def _post_changes(store: Store, match, query, body):
-    if not isinstance(body, dict):
-        raise InvalidInputError("request body must be an object")
-    required = {"author_actor_id", "artifact_id", "batch"}
-    missing = required - set(body)
-    if missing:
-        raise InvalidInputError(f"request body missing keys {sorted(missing)}")
-    unknown = set(body) - required - {"delta"}
-    if unknown:
-        raise InvalidInputError(f"request body has unknown keys {sorted(unknown)}")
-    change = ChangeWorkflow(store).propose(
-        body["author_actor_id"],
-        body["artifact_id"],
-        body["batch"],
-        body.get("delta", {"description": ""}),
-    )
+    if isinstance(body, dict):
+        body = {"delta": {"description": ""}, **body}
+    req = documents.decoder(_ProposalBody)(body, "body")
+    change = ChangeWorkflow(store).propose(req.author_actor_id, req.artifact_id, req.batch, req.delta)
     return 201, documents.change_to_doc(change)
 
 
 def _post_decision(store: Store, match, query, body):
-    if not isinstance(body, dict):
-        raise InvalidInputError("request body must be an object")
-    for key in ("actor_id", "decision"):
-        if key not in body:
-            raise InvalidInputError(f"request body missing key {key!r}")
-    change = ChangeWorkflow(store).decide(match.group("change_id"), body["actor_id"], body["decision"])
+    req = documents.decoder(_DecisionBody)(body, "body")
+    change = ChangeWorkflow(store).decide(match.group("change_id"), req.actor_id, req.decision)
     return 200, documents.change_to_doc(change)
 
 
 def _post_withdraw(store: Store, match, query, body):
-    if not isinstance(body, dict) or "actor_id" not in body:
-        raise InvalidInputError("request body must be an object with key 'actor_id'")
-    change = ChangeWorkflow(store).withdraw(match.group("change_id"), body["actor_id"])
+    req = documents.decoder(_WithdrawBody)(body, "body")
+    change = ChangeWorkflow(store).withdraw(match.group("change_id"), req.actor_id)
     return 200, documents.change_to_doc(change)
 
 

@@ -10,10 +10,10 @@ Layout under the store root::
     annotations/  one document per emitted annotation
     seq           monotone event counter (logical timestamps, change ids)
 
-Writes go through an in-process lock and land via write-to-temp plus atomic
-rename; model version publication additionally fsyncs, making it the single
-durable commit point the change workflow relies on. Readers always see a
-complete document.
+Writes go through an in-process lock and land via write-to-temp (a temp name
+unique to the writing process and thread) plus atomic rename; model version
+publication additionally fsyncs, making it the single durable commit point
+the change workflow relies on. Readers always see a complete document.
 """
 
 from __future__ import annotations
@@ -45,21 +45,20 @@ def _check_id(entity: str, entity_id: str) -> str:
 class Store:
     """File-backed store rooted at a directory."""
 
-    def __init__(self, root: str | Path, create: bool = True):
+    def __init__(self, root: str | Path):
         self.root = Path(root)
         self.lock = threading.RLock()
         self._dirs = {
             name: self.root / name
             for name in ("model", "actors", "viewpoints", "policies", "changes", "annotations")
         }
-        if create:
-            for path in self._dirs.values():
-                path.mkdir(parents=True, exist_ok=True)
+        for path in self._dirs.values():
+            path.mkdir(parents=True, exist_ok=True)
 
     # -- low-level document I/O ----------------------------------------------
 
     def _write_text(self, path: Path, text: str, durable: bool = False) -> None:
-        tmp = path.with_name(path.name + ".tmp")
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
         with open(tmp, "w", encoding="utf-8") as handle:
             handle.write(text)
             if durable:
@@ -199,6 +198,8 @@ class Store:
             return new
 
     def list_viewpoints(self, actor_id: str | None = None) -> list[Viewpoint]:
+        if actor_id is not None:
+            self.get_actor(actor_id)
         vps = sorted(
             (documents.viewpoint_from_doc(self._read_doc(p)) for p in self._dirs["viewpoints"].glob("*.json")),
             key=lambda vp: vp.id,
@@ -251,6 +252,8 @@ class Store:
             self._write_text(path, documents.canonical_dumps(documents.annotation_to_doc(annotation)))
 
     def list_annotations(self, actor_id: str | None = None) -> list[Annotation]:
+        if actor_id is not None:
+            self.get_actor(actor_id)
         annotations = sorted(
             (documents.annotation_from_doc(self._read_doc(p)) for p in self._dirs["annotations"].glob("*.json")),
             key=lambda a: a.id,

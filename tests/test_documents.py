@@ -57,6 +57,17 @@ class TestStrictParsing:
             doc = documents.viewpoint_to_doc(vp)
             assert documents.viewpoint_to_doc(documents.viewpoint_from_doc(doc)) == doc
 
+    def test_viewpoint_relationships_encode_sorted(self):
+        doc = documents.viewpoint_to_doc(fixture.example_viewpoints()[0])
+        doc["relationships"] = [
+            {"other_viewpoint_id": "VP3", "kind": "refines"},
+            {"other_viewpoint_id": "VP2", "kind": "refines"},
+            {"other_viewpoint_id": "VP2", "kind": "complements"},
+        ]
+        encoded = documents.viewpoint_to_doc(documents.viewpoint_from_doc(doc))
+        assert encoded["relationships"] == [doc["relationships"][i] for i in (2, 1, 0)]
+        assert documents.viewpoint_to_doc(documents.viewpoint_from_doc(encoded)) == encoded
+
     def test_connexion_entries_round_trip(self, workspace):
         from viewfilter.engine import filtering_info_artifact
 
@@ -79,6 +90,13 @@ class TestWorkflowRoundTrip:
         text = documents.canonical_dumps(proposed[0])
         decoded = documents.change_from_doc(documents.canonical_loads(text))
         assert documents.canonical_dumps(documents.change_to_doc(decoded)) == text
+
+    def test_change_concerned_encodes_sorted(self, proposed):
+        doc = copy.deepcopy(proposed[0])
+        doc["concerned"] = ["ActorZ", "ActorY", "ActorW"]
+        encoded = documents.change_to_doc(documents.change_from_doc(doc))
+        assert encoded == {**doc, "concerned": ["ActorW", "ActorY", "ActorZ"]}
+        assert documents.change_to_doc(documents.change_from_doc(encoded)) == encoded
 
     def test_annotation_document_round_trips_byte_for_byte(self, proposed):
         text = documents.canonical_dumps(proposed[1])

@@ -197,13 +197,50 @@ class TestBodyErrors:
         assert store.list_changes() == []
 
 
+_PROPOSAL = {"author_actor_id": "ActorX", "artifact_id": "CycloneVessel", "batch": "Geometry-Form"}
+
+# (route, body, JSON path of the wrongly typed field)
+_WRONGLY_TYPED_BODIES = [
+    ("/changes", {**_PROPOSAL, "author_actor_id": ["ActorX"]}, "body.author_actor_id"),
+    ("/changes", {**_PROPOSAL, "artifact_id": {"id": "CycloneVessel"}}, "body.artifact_id"),
+    ("/changes", {**_PROPOSAL, "batch": ["Geometry-Form"]}, "body.batch"),
+    ("/changes/{id}/decisions", {"actor_id": ["ActorY"], "decision": "approve"}, "body.actor_id"),
+    ("/changes/{id}/withdraw", {"actor_id": {"id": "ActorX"}}, "body.actor_id"),
+]
+
+
+class TestBodyTypes:
+    @pytest.mark.parametrize(
+        ("route", "body", "path"),
+        _WRONGLY_TYPED_BODIES,
+        ids=[f"{route.rsplit('/', 1)[-1]}-{path}" for route, _, path in _WRONGLY_TYPED_BODIES],
+    )
+    def test_wrongly_typed_field_gets_bad_document(self, service, route, body, path):
+        base, store = service
+        _, created = request(base, "POST", "/changes", _PROPOSAL)
+        change_id = json.loads(created)["id"]
+
+        def written():
+            files = sorted((store.root / "changes").iterdir()) + [store.root / "seq"]
+            return [(f.name, f.read_bytes()) for f in files]
+
+        before = written()
+        data = json.dumps(body).encode("utf-8")
+        status, reply = raw_post(base, route.format(id=change_id), [f"Content-Length: {len(data)}"], data)
+        assert status == 422
+        error = json.loads(reply)["error"]
+        assert error["code"] == "bad_document"
+        assert error["message"].startswith(f"{path}: ")
+        assert written() == before
+
+
 class TestCliParity:
     @pytest.fixture()
     def cli_bytes(self, service, capsys):
         base, store = service
 
-        def _run(*argv):
-            assert main(["--store", str(store.root), *map(str, argv)]) == 0
+        def _run(*argv, code=0):
+            assert main(["--store", str(store.root), *map(str, argv)]) == code
             return capsys.readouterr().out.encode("utf-8")
 
         return _run
@@ -222,6 +259,16 @@ class TestCliParity:
         base, _ = service
         _, body = request(base, "GET", "/actors/ActorX/viewpoints")
         assert cli_bytes("vp", "list", "--actor", "ActorX") == body
+
+    @pytest.mark.parametrize(
+        ("route", "argv"),
+        [("viewpoints", ("vp", "list", "--actor", "Nobody")), ("annotations", ("actor", "annotations", "Nobody"))],
+    )
+    def test_unknown_actor_parity(self, service, cli_bytes, route, argv):
+        base, _ = service
+        status, body = request(base, "GET", f"/actors/Nobody/{route}")
+        assert status == 404
+        assert cli_bytes(*argv, code=1) == body
 
     def test_change_show_and_annotations_parity(self, service, cli_bytes):
         base, store = service

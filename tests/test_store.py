@@ -1,4 +1,6 @@
 import copy
+import sys
+import threading
 
 import pytest
 
@@ -15,16 +17,50 @@ from viewfilter.store import Store
 
 class TestModelVersions:
     def test_import_then_export_is_canonical_fixed_point(self, tmp_path, model_doc):
-        # Scramble input ordering; the stored form must be canonical anyway.
+        # Give every list the encoder orders two or more entries, then scramble
+        # them all, with the matrix permuted to follow the teams; the stored
+        # form must be canonical anyway.
+        model_doc["processes"][0]["activities"].append({
+            "id": "geometry-check", "process_id": "P1", "name": "Geometry check", "discipline": "geometry",
+            "tasks": [
+                {"id": "TSK-C2", "activity_id": "geometry-check", "name": "Sign off"},
+                {"id": "TSK-C1", "activity_id": "geometry-check", "name": "Check envelope"},
+            ],
+        })
+        model_doc["organization"]["teams"][0]["member_actor_ids"] = ["ActorW", "ActorX"]
+        teams, matrix = model_doc["organization"]["teams"], model_doc["organization"]["collaboration_matrix"]
+        pairs = {(a["id"], b["id"]): matrix[i][j] for i, a in enumerate(teams) for j, b in enumerate(teams)}
+
         scrambled = copy.deepcopy(model_doc)
-        scrambled["artifacts"] = list(reversed(scrambled["artifacts"]))
-        scrambled["interactions"] = list(reversed(scrambled["interactions"]))
+        for key in ("artifacts", "interactions", "processes", "task_flows"):
+            scrambled[key].reverse()
+        for process in scrambled["processes"]:
+            process["activities"].reverse()
+            for activity in process["activities"]:
+                activity["tasks"].reverse()
+        org = scrambled["organization"]
+        for team in org["teams"]:
+            team["member_actor_ids"].reverse()
+        order = [2, 0, 1]
+        org["teams"] = [org["teams"][i] for i in order]
+        org["collaboration_matrix"] = [[matrix[i][j] for j in order] for i in order]
+
         store = Store(tmp_path / "store")
         assert store.import_model(scrambled) == 1
         exported = store.export_model()
-        canonical = documents.model_to_doc(documents.model_from_doc(model_doc))
-        assert exported == canonical
+        assert exported == documents.model_to_doc(documents.model_from_doc(model_doc))
         assert documents.model_to_doc(documents.model_from_doc(exported)) == exported
+
+        processes, teams = exported["processes"], exported["organization"]["teams"]
+        by_id = [exported["artifacts"], exported["interactions"], processes, teams]
+        by_id += [p["activities"] for p in processes] + [a["tasks"] for p in processes for a in p["activities"]]
+        for items in by_id:
+            assert [item["id"] for item in items] == sorted(item["id"] for item in items)
+        flows = [(f["from_task"], f["to_task"], f["payload_description"]) for f in exported["task_flows"]]
+        assert flows == sorted(flows)
+        assert teams[0]["member_actor_ids"] == ["ActorW", "ActorX"]
+        matrix = exported["organization"]["collaboration_matrix"]
+        assert {(a["id"], b["id"]): matrix[i][j] for i, a in enumerate(teams) for j, b in enumerate(teams)} == pairs
 
     def test_versions_are_sequential_and_current_is_latest(self, tmp_path, model_doc):
         store = Store(tmp_path / "store")
@@ -52,7 +88,7 @@ class TestModelVersions:
             Store(tmp_path / "store").export_model()
 
     def test_reopened_store_sees_same_state(self, seeded_store):
-        reopened = Store(seeded_store.root, create=False)
+        reopened = Store(seeded_store.root)
         assert reopened.export_model() == seeded_store.export_model()
         assert [a.id for a in reopened.list_actors()] == ["ActorX", "ActorY", "ActorZ"]
 
@@ -155,3 +191,30 @@ class TestPersistedRoundTrips:
         assert loaded.actors == workspace.actors
         assert loaded.viewpoints == workspace.viewpoints
         assert loaded.policy == workspace.policy
+
+
+class TestConcurrentWriters:
+    def test_stores_on_one_root_do_not_clash_on_temp_files(self, tmp_path):
+        stores = [Store(tmp_path / "store") for _ in range(4)]
+        errors = []
+
+        def allocate(store):
+            try:
+                for _ in range(100):
+                    store.next_seq()
+            except Exception as exc:  # noqa: BLE001 - collected and asserted below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=allocate, args=(store,)) for store in stores]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert list((tmp_path / "store").rglob("*.tmp")) == []
