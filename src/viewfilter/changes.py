@@ -22,6 +22,8 @@ from .errors import (
     InvalidStateError,
     PermissionDeniedError,
 )
+from .policy import restitution_list_connexion_level
+from .viewpoints import filtering_list_vp_artifact
 
 if TYPE_CHECKING:
     from .store import Store
@@ -97,15 +99,20 @@ def concerned_actors(
     batch: str,
     exclude_actor: str | None = None,
 ) -> set[str]:
-    """Actors whose own filter result on the artifact contains the batch."""
+    """Actors whose own filter result on the artifact contains the batch.
+
+    The merge is a union of batches, so an actor holds the batch exactly when
+    step 4 grants it to one of their viewpoints covering the artifact: one
+    pass over the covering viewpoints finds them all.
+    """
     ws.model.artifact(artifact_id)
     concerned = set()
-    for actor_id in ws.actors:
-        if actor_id == exclude_actor:
+    for vp in filtering_list_vp_artifact(ws.model, ws.viewpoints.values(), artifact_id):
+        actor = ws.actors.get(vp.actor_id)
+        if actor is None or actor.id == exclude_actor or actor.id in concerned:
             continue
-        result = filtering_info_artifact(ws, artifact_id, actor_id)
-        if result.entries.get(batch) is not None:
-            concerned.add(actor_id)
+        if restitution_list_connexion_level(vp, actor, ws.policy).get(batch) is not None:
+            concerned.add(actor.id)
     return concerned
 
 

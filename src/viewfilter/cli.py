@@ -2,7 +2,8 @@
 
 All output on stdout is the canonical document form (JSON, or policy text for
 policy commands). Exit codes: 0 success, 1 domain error (with a machine-
-readable error document on stdout), 2 usage error.
+readable error document on stdout; an unexpected exception is reported as an
+``internal`` error document, with its traceback on stderr), 2 usage error.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from pathlib import Path
 
 from . import documents
 from .changes import ChangeWorkflow
-from .errors import DocumentError, DomainError, InvalidInputError
+from .errors import DocumentError, DomainError, InternalError, InvalidInputError
 from .model import validate_model
 from .policy import parse_policy, serialize_policy
 from .store import STORE_ENV_VAR, Store
@@ -215,6 +216,9 @@ def main(argv: list[str] | None = None) -> int:
         return _run(args)
     except DomainError as exc:
         _emit_doc(exc.to_doc())
+        return 1
+    except Exception as exc:
+        _emit_doc(InternalError.report(exc).to_doc())
         return 1
 
 

@@ -27,6 +27,24 @@ class DomainError(Exception):
         return {"error": error}
 
 
+class InternalError(DomainError):
+    """A failure the program did not anticipate (a defect or an environment fault).
+
+    Built only by the last-resort handlers of the CLI and the service.
+    """
+
+    code = "internal"
+    http_status = 500
+
+    @classmethod
+    def report(cls, exc: Exception) -> "InternalError":
+        """Write the traceback of ``exc`` to standard error; returns the error to answer with."""
+        import traceback  # here, so that CLI start-up does not pay for it
+
+        traceback.print_exception(exc)
+        return cls(f"internal error: {type(exc).__name__}")
+
+
 class NotFoundError(DomainError):
     code = "not_found"
     http_status = 404

@@ -2,7 +2,8 @@
 
 Responses are the same canonical documents the CLI prints; domain errors map
 one-to-one onto HTTP statuses (404 not-found, 403 permission-denied, 409
-conflict or invalid-state, 422 validation failure).
+conflict or invalid-state, 422 validation failure), and any other exception
+is answered with a 500 ``internal`` error document.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from urllib.parse import parse_qs, urlparse
 from . import documents
 from .changes import ChangeWorkflow
 from .engine import filtering_info_artifact
-from .errors import DocumentError, DomainError, InvalidInputError, NotFoundError
+from .errors import DocumentError, DomainError, InternalError, InvalidInputError, NotFoundError
 from .store import Store
 
 
@@ -150,6 +151,9 @@ def make_handler(store: Store):
                 raise NotFoundError(f"no route for {method} {parsed.path}")
             except DomainError as exc:
                 self._respond(exc.http_status, exc.to_doc())
+            except Exception as exc:  # the server keeps serving; the client gets a document
+                error = InternalError.report(exc)
+                self._respond(error.http_status, error.to_doc())
 
         def do_GET(self):
             self._dispatch("GET")

@@ -9,18 +9,31 @@ Layout under the store root::
     changes/      one document per proposal
     annotations/  one document per emitted annotation
     seq           monotone event counter (logical timestamps, change ids)
+    generation    token rewritten by every write that changes the Workspace
 
 Writes go through an in-process lock and land via write-to-temp (a temp name
 unique to the writing process and thread) plus atomic rename; model version
 publication additionally fsyncs, making it the single durable commit point
 the change workflow relies on. Readers always see a complete document.
+
+A ``Store`` keeps the last Workspace it loaded, keyed by the generation token.
+Model imports (publications included), actor and viewpoint registrations and
+policy writes put a fresh, unique token in ``generation`` after their data
+has landed; ``seq``, change and annotation writes leave it alone. A reader
+reads the token before the data, so a token it has seen never names data
+older than what it then loads, and any writer, in this process or another,
+invalidates every reader's snapshot. A writer killed between its data rename
+and its token rename leaves readers on the old snapshot until the next
+write. A missing or unreadable ``generation`` file turns the cache off.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import re
 import threading
+import time
 from pathlib import Path
 
 from . import documents
@@ -34,6 +47,10 @@ from .viewpoints import Actor, Viewpoint, validate_registry
 _SAFE_ID = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 
 STORE_ENV_VAR = "VIEWFILTER_STORE"
+
+# Shared by every Store in the process: with the pid and the clock it keeps
+# two tokens written in one process apart even when the clock has not moved.
+_token_counter = itertools.count()
 
 
 def _check_id(entity: str, entity_id: str) -> str:
@@ -54,6 +71,11 @@ class Store:
         }
         for path in self._dirs.values():
             path.mkdir(parents=True, exist_ok=True)
+        self._generation_path = self.root / "generation"
+        # (token, snapshot) and ((version, inode, mtime_ns), model); each is
+        # replaced whole, so threads never see a key with another's value.
+        self._workspace: tuple[bytes, Workspace] | None = None
+        self._model: tuple[tuple[int, int, int], PpcoModel] | None = None
 
     # -- low-level document I/O ----------------------------------------------
 
@@ -68,6 +90,19 @@ class Store:
 
     def _read_doc(self, path: Path):
         return documents.canonical_loads(path.read_text(encoding="utf-8"))
+
+    # -- generation token --------------------------------------------------------
+
+    def _bump_generation(self) -> None:
+        """Invalidate every reader's Workspace; call after the data has landed."""
+        token = f"{os.getpid()}.{time.time_ns()}.{next(_token_counter)}"
+        self._write_text(self._generation_path, token)
+
+    def _read_generation(self) -> bytes | None:
+        try:
+            return self._generation_path.read_bytes() or None
+        except OSError:
+            return None
 
     # -- sequence counter ------------------------------------------------------
 
@@ -113,6 +148,8 @@ class Store:
     def import_model(self, doc) -> int:
         """Validate and publish a model document as the next version."""
         with self.lock:
+            # The snapshot is stale from here on; free it before decoding another model.
+            self._workspace = self._model = None
             model = self.check_importable(doc)
             version = self.current_version() + 1
             canonical = documents.canonical_dumps(documents.model_to_doc(model))
@@ -122,6 +159,7 @@ class Store:
                 documents.canonical_dumps({"version": version}),
                 durable=True,
             )
+            self._bump_generation()
             return version
 
     def export_model(self, version: int | None = None) -> dict:
@@ -135,7 +173,21 @@ class Store:
         return self._read_doc(path)
 
     def load_model(self) -> PpcoModel:
-        return documents.model_from_doc(self.export_model())
+        """The current version, decoded once per version file."""
+        version = self.current_version()
+        try:
+            stat = self._version_path(version).stat()
+            key = (version, stat.st_ino, stat.st_mtime_ns)
+        except OSError:
+            key = None
+        cached = self._model
+        if cached is not None and cached[0] == key:
+            return cached[1]
+        self._model = cached = None
+        model = documents.model_from_doc(self.export_model(version))
+        if key is not None:
+            self._model = (key, model)
+        return model
 
     # -- actors ------------------------------------------------------------------
 
@@ -150,6 +202,7 @@ class Store:
             if path.exists():
                 raise ConflictError(f"actor {actor.id} is already registered")
             self._write_text(path, documents.canonical_dumps(documents.actor_to_doc(actor)))
+            self._bump_generation()
             return actor
 
     def list_actors(self) -> list[Actor]:
@@ -195,18 +248,24 @@ class Store:
             for vp in new:
                 path = self._dirs["viewpoints"] / f"{vp.id}.json"
                 self._write_text(path, documents.canonical_dumps(documents.viewpoint_to_doc(vp)))
+            self._bump_generation()
             return new
 
     def list_viewpoints(self, actor_id: str | None = None) -> list[Viewpoint]:
-        if actor_id is not None:
-            self.get_actor(actor_id)
-        vps = sorted(
-            (documents.viewpoint_from_doc(self._read_doc(p)) for p in self._dirs["viewpoints"].glob("*.json")),
+        """Every registered viewpoint, or one actor's, sorted by id.
+
+        The per-actor form answers from the cached Workspace.
+        """
+        if actor_id is None:
+            return sorted(
+                (documents.viewpoint_from_doc(self._read_doc(p)) for p in self._dirs["viewpoints"].glob("*.json")),
+                key=lambda vp: vp.id,
+            )
+        self.get_actor(actor_id)
+        return sorted(
+            (vp for vp in self.load_workspace().viewpoints.values() if vp.actor_id == actor_id),
             key=lambda vp: vp.id,
         )
-        if actor_id is None:
-            return vps
-        return [vp for vp in vps if vp.actor_id == actor_id]
 
     # -- policy ---------------------------------------------------------------------
 
@@ -214,6 +273,7 @@ class Store:
         policy = parse_policy(text)
         with self.lock:
             self._write_text(self._dirs["policies"] / "default.policy", serialize_policy(policy))
+            self._bump_generation()
         return policy
 
     def get_policy_text(self) -> str:
@@ -265,7 +325,17 @@ class Store:
     # -- assembled snapshot ---------------------------------------------------------------
 
     def load_workspace(self) -> Workspace:
-        """Current model, registries, and policy as one immutable snapshot."""
+        """Current model, registries, and policy as one immutable snapshot.
+
+        The last snapshot is reused while the generation token is unchanged.
+        On a change it is dropped before the reload, so a Store never holds
+        two at once.
+        """
+        token = self._read_generation()
+        cached = self._workspace
+        if cached is not None and cached[0] == token:
+            return cached[1]
+        self._workspace = cached = None
         model = self.load_model()
         actors = {a.id: a for a in self.list_actors()}
         viewpoints = {vp.id: vp for vp in self.list_viewpoints()}
@@ -273,4 +343,7 @@ class Store:
             policy = self.get_policy()
         except NotFoundError:
             policy = Policy()
-        return Workspace(model=model, actors=actors, viewpoints=viewpoints, policy=policy)
+        workspace = Workspace(model=model, actors=actors, viewpoints=viewpoints, policy=policy)
+        if token is not None:
+            self._workspace = (token, workspace)
+        return workspace

@@ -1,14 +1,22 @@
 import json
+import os
 import socket
+import subprocess
+import sys
+import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
+import viewfilter
 from _corruptions import CORRUPTIONS
 from _oracles import MERGED_TABLE
 from viewfilter import documents, fixture
 from viewfilter.cli import main
+from viewfilter.engine import filtering_info_artifact
+from viewfilter.store import Store
 
 
 def request(base, method, path, body=None):
@@ -23,10 +31,10 @@ def request(base, method, path, body=None):
         return err.code, err.read()
 
 
-def raw_post(base, path, headers, body=b""):
-    """POST exactly the given header lines and body bytes; returns (status, body)."""
+def raw_request(base, method, path, headers, body=b""):
+    """Send exactly the given header lines and body bytes; returns (status, body)."""
     host, port = base.removeprefix("http://").split(":")
-    head = "".join(f"{line}\r\n" for line in [f"POST {path} HTTP/1.1", f"Host: {host}", *headers])
+    head = "".join(f"{line}\r\n" for line in [f"{method} {path} HTTP/1.1", f"Host: {host}", *headers])
     with socket.create_connection((host, int(port)), timeout=10) as sock:
         sock.sendall(head.encode("ascii") + b"\r\n" + body)
         response = b""
@@ -181,7 +189,7 @@ class TestChangeEndpoints:
 class TestBodyErrors:
     def test_non_utf8_body_gets_bad_document(self, service):
         base, store = service
-        status, body = raw_post(base, "/changes", ["Content-Length: 2"], b"\xff\xfe")
+        status, body = raw_request(base, "POST", "/changes", ["Content-Length: 2"], b"\xff\xfe")
         assert status == 422
         assert json.loads(body)["error"]["code"] == "bad_document"
         assert store.list_changes() == []
@@ -189,7 +197,7 @@ class TestBodyErrors:
     @pytest.mark.parametrize("length", ["abc", "-5", "-1"])
     def test_bad_content_length_gets_invalid_input(self, service, length):
         base, store = service
-        status, body = raw_post(base, "/changes", [f"Content-Length: {length}"])
+        status, body = raw_request(base, "POST", "/changes", [f"Content-Length: {length}"])
         assert status == 422
         error = json.loads(body)["error"]
         assert error["code"] == "invalid_input"
@@ -226,7 +234,7 @@ class TestBodyTypes:
 
         before = written()
         data = json.dumps(body).encode("utf-8")
-        status, reply = raw_post(base, route.format(id=change_id), [f"Content-Length: {len(data)}"], data)
+        status, reply = raw_request(base, "POST", route.format(id=change_id), [f"Content-Length: {len(data)}"], data)
         assert status == 422
         error = json.loads(reply)["error"]
         assert error["code"] == "bad_document"
@@ -270,6 +278,25 @@ class TestCliParity:
         assert status == 404
         assert cli_bytes(*argv, code=1) == body
 
+    def test_unexpected_exception_gets_the_same_internal_document(self, service, capsys, monkeypatch):
+        base, store = service
+
+        def defect(self):
+            raise RuntimeError("simulated defect")
+
+        monkeypatch.setattr(Store, "load_workspace", defect)
+        path = "/artifacts/CycloneVessel/filter?actor=ActorX"
+        status, body = raw_request(base, "GET", path, [])
+        assert status == 500
+        assert json.loads(body) == {"error": {"code": "internal", "message": "internal error: RuntimeError"}}
+        argv = ["--store", str(store.root), "filter", "--actor", "ActorX", "--artifact", "CycloneVessel", "--audit"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out.encode("utf-8") == body
+        assert "RuntimeError: simulated defect" in captured.err
+        monkeypatch.undo()
+        assert request(base, "GET", path)[0] == 200
+
     def test_change_show_and_annotations_parity(self, service, cli_bytes):
         base, store = service
         _, body = request(
@@ -281,3 +308,72 @@ class TestCliParity:
         assert cli_bytes("change", "show", change_id) == shown
         _, annotations = request(base, "GET", "/actors/ActorY/annotations")
         assert cli_bytes("actor", "annotations", "ActorY") == annotations
+
+
+class TestServedCache:
+    """A ``serve`` child keeps its Workspace; CLI writers in other processes invalidate it."""
+
+    @pytest.fixture()
+    def served(self, seeded_store):
+        src = str(Path(viewfilter.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        cmd = [sys.executable, "-m", "viewfilter", "--store", str(seeded_store.root)]
+        proc = subprocess.Popen([*cmd, "serve", "--port", str(port)], env=env, stdout=subprocess.DEVNULL)
+        base = f"http://127.0.0.1:{port}"
+        try:
+            deadline = time.monotonic() + 30
+            while True:
+                assert proc.poll() is None, "serve exited"
+                try:
+                    request(base, "GET", "/model/current")
+                    break
+                except OSError:
+                    assert time.monotonic() < deadline, "serve did not answer"
+                    time.sleep(0.02)
+
+            def cli(*argv):
+                subprocess.run([*cmd, *map(str, argv)], env=env, check=True, capture_output=True, timeout=60)
+
+            yield base, seeded_store.root, cli
+        finally:
+            proc.terminate()
+            proc.wait(timeout=10)
+
+    def test_cli_writes_reach_a_running_server(self, served, tmp_path):
+        base, root, cli = served
+        paths = [f"/artifacts/{artifact}/filter?actor=ActorZ" for artifact in ("DustOutlet", "CycloneVessel")]
+
+        def served_filters():
+            return [request(base, "GET", path)[1] for path in paths]
+
+        def fresh_filters():
+            ws = Store(root).load_workspace()
+            return [
+                documents.canonical_dumps(
+                    documents.filter_result_to_doc(filtering_info_artifact(ws, artifact, "ActorZ"), include_audit=True)
+                ).encode("utf-8")
+                for artifact in ("DustOutlet", "CycloneVessel")
+            ]
+
+        before = served_filters()
+        policy = tmp_path / "quality.policy"
+        policy.write_text(fixture.DEFAULT_POLICY_TEXT + "\nrule discipline=quality activity=* competence>=1\n  grant Requirements:1\n")
+        cli("policy", "set", policy)
+        after_policy = served_filters()
+        assert after_policy[0] != before[0]
+        assert after_policy == fresh_filters()
+
+        viewpoint = tmp_path / "vp.json"
+        viewpoint.write_text(json.dumps({
+            "id": "VP9", "actor_id": "ActorZ",
+            "domain": {"activity_id": "quality-review", "discipline": "quality"},
+            "objective": {"focus_label": "whole vessel", "target_artifact_id": "CycloneVessel"},
+            "relationships": [], "importance": 3,
+        }))
+        cli("vp", "add", viewpoint)
+        after_vp = served_filters()
+        assert after_vp[1] != after_policy[1]
+        assert after_vp == fresh_filters()

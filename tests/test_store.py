@@ -6,6 +6,8 @@ import pytest
 
 from _corruptions import CORRUPTIONS
 from viewfilter import documents, fixture
+from viewfilter.changes import ChangeStatus, ChangeWorkflow
+from viewfilter.engine import filtering_info_artifact
 from viewfilter.errors import (
     ConflictError,
     InvalidInputError,
@@ -140,6 +142,21 @@ class TestRegistries:
         assert [vp.id for vp in seeded_store.list_viewpoints("ActorX")] == ["VP1", "VP2"]
         assert [vp.id for vp in seeded_store.list_viewpoints()] == ["VP1", "VP2", "VP3", "VP4"]
 
+    def test_list_viewpoints_by_actor_reads_only_the_actor_once_cached(self, seeded_store, monkeypatch):
+        seeded_store.load_workspace()
+        read = []
+        real = Store._read_doc
+        monkeypatch.setattr(Store, "_read_doc", lambda store, path: read.append(path.name) or real(store, path))
+        assert [vp.id for vp in seeded_store.list_viewpoints("ActorX")] == ["VP1", "VP2"]
+        assert read == ["ActorX.json"]
+
+    def test_list_viewpoints_by_actor_on_a_store_without_model(self, tmp_path):
+        store = Store(tmp_path / "empty")
+        with pytest.raises(NotFoundError, match="unknown actor: ActorX"):
+            store.list_viewpoints("ActorX")
+        with pytest.raises(InvalidInputError):
+            store.list_viewpoints("../escape")
+
     def test_unsafe_id_rejected(self, seeded_store):
         doc = documents.actor_to_doc(fixture.example_actors()[0])
         doc["id"] = "../escape"
@@ -218,3 +235,155 @@ class TestConcurrentWriters:
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         assert list((tmp_path / "store").rglob("*.tmp")) == []
+
+
+_ACTOR_W = {
+    "id": "ActorW", "name": "ActorW", "role": "late joiner",
+    "situation": "internal", "team_id": "T2", "competences": {"geometry": 5},
+}
+_VP_W = {
+    "id": "VP9", "actor_id": "ActorW",
+    "domain": {"activity_id": "geometry-design", "discipline": "geometry"},
+    "objective": {"focus_label": "late focus", "target_artifact_id": "DustOutlet"},
+    "relationships": [], "importance": 3,
+}
+_QUALITY_RULE = "\nrule discipline=quality activity=* competence>=1\n  grant Requirements:1\n"
+
+
+def _filters(store):
+    """Every actor's audited filter on every artifact, as served bytes."""
+    ws = store.load_workspace()
+    return {
+        (actor, artifact): documents.canonical_dumps(
+            documents.filter_result_to_doc(filtering_info_artifact(ws, artifact, actor), include_audit=True)
+        )
+        for actor in ws.actors
+        for artifact in ws.model.artifacts_by_id
+    }
+
+
+def _moved(store, artifact_id, parent_id):
+    doc = store.export_model()
+    for artifact in doc["artifacts"]:
+        if artifact["id"] == artifact_id:
+            artifact["parent_id"] = parent_id
+    return doc
+
+
+def _publish_by_decision(store):
+    workflow = ChangeWorkflow(store)
+    delta = {"description": "move the hopper", "model": _moved(store, "DustHopper", "MountingFrame")}
+    change = workflow.propose("ActorX", "DustHopper", "Geometry-Form", delta)
+    for actor in sorted(change.concerned):
+        change = workflow.decide(change.id, actor, "approve")
+    assert change.status is ChangeStatus.EFFECTIVE
+
+
+class TestWorkspaceCache:
+    """One Store stands in for a running server, another for a CLI writer."""
+
+    def test_every_workspace_write_reaches_a_warm_reader(self, seeded_store):
+        reader, writer = Store(seeded_store.root), Store(seeded_store.root)
+        writes = [
+            ("import_model", lambda: writer.import_model(_moved(writer, "DustValve", "MountingFrame"))),
+            ("add_actor", lambda: writer.add_actor(_ACTOR_W)),
+            ("add_viewpoints", lambda: writer.add_viewpoints([_VP_W])),
+            ("set_policy", lambda: writer.set_policy(fixture.DEFAULT_POLICY_TEXT + _QUALITY_RULE)),
+            ("publishing decision", lambda: _publish_by_decision(writer)),
+        ]
+        for name, write in writes:
+            before = _filters(reader)
+            write()
+            after = _filters(reader)
+            assert after != before, f"{name} changed no filter"
+            assert after == _filters(Store(seeded_store.root)), f"{name} left the reader stale"
+
+    def test_other_writes_keep_the_cached_workspace(self, seeded_store):
+        reader, writer = Store(seeded_store.root), Store(seeded_store.root)
+        token = (seeded_store.root / "generation").read_bytes()
+        ws = reader.load_workspace()
+        workflow = ChangeWorkflow(writer)
+        writer.next_seq()
+        assert reader.load_workspace() is ws
+        change = workflow.propose("ActorX", "CycloneVessel", "Geometry-Form", {"description": "d"})
+        assert change.status is ChangeStatus.PENDING
+        assert reader.load_workspace() is ws
+        assert workflow.decide(change.id, "ActorY", "reject").status is ChangeStatus.REJECTED
+        assert reader.load_workspace() is ws
+        assert (seeded_store.root / "generation").read_bytes() == token
+
+    @pytest.mark.parametrize("damage", [None, b"", b"\xff\xfe garbled \x00"])
+    def test_damaged_generation_file_still_gives_current_filters(self, seeded_store, damage):
+        reader = Store(seeded_store.root)
+        before = _filters(reader)
+        generation = seeded_store.root / "generation"
+        if damage is None:
+            generation.unlink()
+        else:
+            generation.write_bytes(damage)
+        # A policy edited behind the store's back shows at once, as with no cache.
+        (seeded_store.root / "policies" / "default.policy").write_text(fixture.DEFAULT_POLICY_TEXT + _QUALITY_RULE)
+        after = _filters(reader)
+        assert after != before
+        assert after == _filters(Store(seeded_store.root))
+        if not damage:
+            assert reader.load_workspace() is not reader.load_workspace()
+
+    def test_a_write_landing_during_a_load_is_seen_by_the_next_load(self, seeded_store, monkeypatch):
+        reader, writer = Store(seeded_store.root), Store(seeded_store.root)
+        old = reader.get_policy()
+        real = Store.get_policy
+
+        def get_policy_then_write(store):
+            policy = real(store)
+            monkeypatch.setattr(Store, "get_policy", real)
+            writer.set_policy(fixture.DEFAULT_POLICY_TEXT + _QUALITY_RULE)
+            return policy
+
+        monkeypatch.setattr(Store, "get_policy", get_policy_then_write)
+        assert reader.load_workspace().policy == old
+        assert reader.load_workspace().policy == writer.get_policy() != old
+
+    def test_a_write_is_seen_while_threads_read(self, seeded_store):
+        store = Store(seeded_store.root)
+        policies = [fixture.DEFAULT_POLICY_TEXT + _QUALITY_RULE, fixture.DEFAULT_POLICY_TEXT]
+        stop = threading.Event()
+        errors = []
+
+        def read():
+            try:
+                while not stop.is_set():
+                    filtering_info_artifact(store.load_workspace(), "DustOutlet", "ActorZ")
+            except Exception as exc:  # noqa: BLE001 - collected and asserted below
+                errors.append(exc)
+
+        readers = [threading.Thread(target=read) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in readers:
+                thread.start()
+            for i in range(40):
+                written = store.set_policy(policies[i % 2])
+                assert store.load_workspace().policy == written, f"write {i} not seen"
+        finally:
+            stop.set()
+            for thread in readers:
+                thread.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in readers)
+        assert errors == []
+        assert _filters(store) == _filters(Store(seeded_store.root))
+
+    def test_model_is_decoded_once_per_version(self, seeded_store, monkeypatch):
+        decoded = []
+        real = documents.model_from_doc
+        monkeypatch.setattr(documents, "model_from_doc", lambda doc: decoded.append(1) or real(doc))
+        store = Store(seeded_store.root)
+        store.add_actor(_ACTOR_W)
+        store.add_actor({**_ACTOR_W, "id": "ActorV", "name": "ActorV"})
+        store.add_viewpoints([_VP_W])
+        assert len(decoded) == 1
+        store.import_model(store.export_model())  # validation decodes the new version once
+        assert store.load_model().artifacts_by_id
+        assert len(decoded) == 3
