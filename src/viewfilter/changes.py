@@ -41,9 +41,6 @@ class Decision(str, Enum):
     REJECT = "reject"
 
 
-TERMINAL_STATUSES = frozenset({ChangeStatus.EFFECTIVE, ChangeStatus.REJECTED, ChangeStatus.WITHDRAWN})
-
-
 @dataclass(frozen=True)
 class ChangeProposal:
     """One pending or resolved modification, with per-actor decisions.

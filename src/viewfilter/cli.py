@@ -15,6 +15,7 @@ from pathlib import Path
 
 from . import documents
 from .changes import ChangeWorkflow
+from .engine import filtering_info_artifact
 from .errors import DocumentError, DomainError, InternalError, InvalidInputError
 from .model import validate_model
 from .policy import parse_policy, serialize_policy
@@ -176,8 +177,6 @@ def _run(args) -> int:
 
     elif args.command == "filter":
         store = Store(_store_root(args))
-        from .engine import filtering_info_artifact
-
         result = filtering_info_artifact(store.load_workspace(), args.artifact, args.actor)
         _emit_doc(documents.filter_result_to_doc(result, include_audit=args.audit))
 

@@ -3,17 +3,21 @@
 Responses are the same canonical documents the CLI prints; domain errors map
 one-to-one onto HTTP statuses (404 not-found, 403 permission-denied, 409
 conflict or invalid-state, 422 validation failure), and any other exception
-is answered with a 500 ``internal`` error document.
+is answered with a 500 ``internal`` error document. Requests the stdlib
+refuses itself (a garbled request line, an oversized URI, an unsupported
+method) keep its status and get an error document too. Path parameters are
+percent-decoded after the route has matched.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any
-from urllib.parse import parse_qs, urlparse
+from urllib.parse import parse_qs, unquote, urlparse
 
 from . import documents
 from .changes import ChangeWorkflow
@@ -22,29 +26,29 @@ from .errors import DocumentError, DomainError, InternalError, InvalidInputError
 from .store import Store
 
 
-def _get_model_current(store: Store, match, query, body):
+def _get_model_current(store: Store, params, query, body):
     return 200, store.export_model()
 
 
-def _post_model(store: Store, match, query, body):
+def _post_model(store: Store, params, query, body):
     return 201, {"version": store.import_model(body)}
 
 
-def _get_actor_viewpoints(store: Store, match, query, body):
-    viewpoints = store.list_viewpoints(match.group("actor_id"))
+def _get_actor_viewpoints(store: Store, params, query, body):
+    viewpoints = store.list_viewpoints(params["actor_id"])
     return 200, {"viewpoints": [documents.viewpoint_to_doc(vp) for vp in viewpoints]}
 
 
-def _get_actor_annotations(store: Store, match, query, body):
-    annotations = store.list_annotations(match.group("actor_id"))
+def _get_actor_annotations(store: Store, params, query, body):
+    annotations = store.list_annotations(params["actor_id"])
     return 200, {"annotations": [documents.annotation_to_doc(a) for a in annotations]}
 
 
-def _get_filter(store: Store, match, query, body):
+def _get_filter(store: Store, params, query, body):
     actors = query.get("actor", [])
     if len(actors) != 1:
         raise InvalidInputError("query parameter 'actor' is required exactly once")
-    result = filtering_info_artifact(store.load_workspace(), match.group("artifact_id"), actors[0])
+    result = filtering_info_artifact(store.load_workspace(), params["artifact_id"], actors[0])
     return 200, documents.filter_result_to_doc(result, include_audit=True)
 
 
@@ -67,7 +71,7 @@ class _WithdrawBody:
     actor_id: str
 
 
-def _post_changes(store: Store, match, query, body):
+def _post_changes(store: Store, params, query, body):
     if isinstance(body, dict):
         body = {"delta": {"description": ""}, **body}
     req = documents.decoder(_ProposalBody)(body, "body")
@@ -75,20 +79,20 @@ def _post_changes(store: Store, match, query, body):
     return 201, documents.change_to_doc(change)
 
 
-def _post_decision(store: Store, match, query, body):
+def _post_decision(store: Store, params, query, body):
     req = documents.decoder(_DecisionBody)(body, "body")
-    change = ChangeWorkflow(store).decide(match.group("change_id"), req.actor_id, req.decision)
+    change = ChangeWorkflow(store).decide(params["change_id"], req.actor_id, req.decision)
     return 200, documents.change_to_doc(change)
 
 
-def _post_withdraw(store: Store, match, query, body):
+def _post_withdraw(store: Store, params, query, body):
     req = documents.decoder(_WithdrawBody)(body, "body")
-    change = ChangeWorkflow(store).withdraw(match.group("change_id"), req.actor_id)
+    change = ChangeWorkflow(store).withdraw(params["change_id"], req.actor_id)
     return 200, documents.change_to_doc(change)
 
 
-def _get_change(store: Store, match, query, body):
-    return 200, documents.change_to_doc(store.get_change(match.group("change_id")))
+def _get_change(store: Store, params, query, body):
+    return 200, documents.change_to_doc(store.get_change(params["change_id"]))
 
 
 _ROUTES = [
@@ -111,13 +115,22 @@ def make_handler(store: Store):
         def log_message(self, format, *args):  # noqa: A002 - stdlib signature
             pass
 
-        def _respond(self, status: int, doc) -> None:
+        def _respond(self, status: int, doc, close: bool = False) -> None:
             payload = documents.canonical_dumps(doc).encode("utf-8")
             self.send_response(status)
             self.send_header("Content-Type", "application/json; charset=utf-8")
             self.send_header("Content-Length", str(len(payload)))
+            if close:
+                self.send_header("Connection", "close")
             self.end_headers()
-            self.wfile.write(payload)
+            if self.command != "HEAD":
+                self.wfile.write(payload)
+
+        def send_error(self, code, message=None, explain=None):
+            """The stdlib's own refusals, as an error document under its status."""
+            status = HTTPStatus(code)
+            error = {"code": status.name.lower(), "message": message or status.phrase}
+            self._respond(code, {"error": error}, close=True)
 
         def _read_body(self):
             header = self.headers.get("Content-Length", "0")
@@ -145,7 +158,8 @@ def make_handler(store: Store):
                         continue
                     match = pattern.match(parsed.path)
                     if match:
-                        status, doc = handler(store, match, query, body)
+                        params = {name: unquote(value) for name, value in match.groupdict().items()}
+                        status, doc = handler(store, params, query, body)
                         self._respond(status, doc)
                         return
                 raise NotFoundError(f"no route for {method} {parsed.path}")

@@ -9,22 +9,23 @@ Layout under the store root::
     changes/      one document per proposal
     annotations/  one document per emitted annotation
     seq           monotone event counter (logical timestamps, change ids)
-    generation    token rewritten by every write that changes the Workspace
 
 Writes go through an in-process lock and land via write-to-temp (a temp name
 unique to the writing process and thread) plus atomic rename; model version
 publication additionally fsyncs, making it the single durable commit point
 the change workflow relies on. Readers always see a complete document.
 
-A ``Store`` keeps the last Workspace it loaded, keyed by the generation token.
-Model imports (publications included), actor and viewpoint registrations and
-policy writes put a fresh, unique token in ``generation`` after their data
-has landed; ``seq``, change and annotation writes leave it alone. A reader
-reads the token before the data, so a token it has seen never names data
-older than what it then loads, and any writer, in this process or another,
-invalidates every reader's snapshot. A writer killed between its data rename
-and its token rename leaves readers on the old snapshot until the next
-write. A missing or unreadable ``generation`` file turns the cache off.
+The Workspace has four parts: model, actors, viewpoints and policy. Each
+part's directory holds a ``TOKEN`` that the part's writers (model imports
+and publications, actor and viewpoint registrations, policy sets) rewrite
+with a fresh, unique value after their data has landed; ``seq``, change and
+annotation writes touch no token. A ``Store`` caches each part under its
+token, so a write, in any process, makes readers reload that part alone. A
+reader reads a token before the data, so a token it has seen never names
+data older than what it then loads. A writer killed between its data and
+token renames leaves readers on the old part until the part's next write. A
+missing or empty token turns that part's cache off, and opening a store
+writes every missing token.
 """
 
 from __future__ import annotations
@@ -59,6 +60,16 @@ def _check_id(entity: str, entity_id: str) -> str:
     return entity_id
 
 
+# Each Workspace part, by the directory holding its data and token, with its
+# uncached loader (looked up on the store at each call).
+_PARTS = {
+    "model": lambda store: store.load_model(),
+    "actors": lambda store: {a.id: a for a in store.list_actors()},
+    "viewpoints": lambda store: {vp.id: vp for vp in store.list_viewpoints()},
+    "policies": lambda store: store.get_policy(),
+}
+
+
 class Store:
     """File-backed store rooted at a directory."""
 
@@ -71,11 +82,14 @@ class Store:
         }
         for path in self._dirs.values():
             path.mkdir(parents=True, exist_ok=True)
-        self._generation_path = self.root / "generation"
-        # (token, snapshot) and ((version, inode, mtime_ns), model); each is
-        # replaced whole, so threads never see a key with another's value.
-        self._workspace: tuple[bytes, Workspace] | None = None
-        self._model: tuple[tuple[int, int, int], PpcoModel] | None = None
+        # Token paths as strings: every load reads all four, so each read is a bare os.read.
+        self._tokens = {part: str(self._dirs[part] / "TOKEN") for part in _PARTS}
+        for part, path in self._tokens.items():
+            if not os.path.exists(path):
+                self._bump(part)
+        # part -> (token, value); each entry is replaced whole, so threads
+        # never see a token with another token's value.
+        self._parts: dict[str, tuple[bytes, object]] = {}
 
     # -- low-level document I/O ----------------------------------------------
 
@@ -91,18 +105,32 @@ class Store:
     def _read_doc(self, path: Path):
         return documents.canonical_loads(path.read_text(encoding="utf-8"))
 
-    # -- generation token --------------------------------------------------------
+    # -- per-part cache ----------------------------------------------------------
 
-    def _bump_generation(self) -> None:
-        """Invalidate every reader's Workspace; call after the data has landed."""
+    def _bump(self, part: str) -> None:
+        """Invalidate every reader's copy of a part; call after its data has landed."""
         token = f"{os.getpid()}.{time.time_ns()}.{next(_token_counter)}"
-        self._write_text(self._generation_path, token)
+        self._write_text(self._dirs[part] / "TOKEN", token)
 
-    def _read_generation(self) -> bytes | None:
+    def _part(self, part: str):
+        """One Workspace part, reloaded only when its token has moved; the
+        stale copy is dropped first, so a Store never holds two of a part."""
         try:
-            return self._generation_path.read_bytes() or None
+            fd = os.open(self._tokens[part], os.O_RDONLY)
+            try:
+                token = os.read(fd, 4096) or None
+            finally:
+                os.close(fd)
         except OSError:
-            return None
+            token = None
+        cached = self._parts.get(part)
+        if cached is not None and cached[0] == token:
+            return cached[1]
+        self._parts.pop(part, None)
+        value = _PARTS[part](self)
+        if token is not None:
+            self._parts[part] = (token, value)
+        return value
 
     # -- sequence counter ------------------------------------------------------
 
@@ -129,15 +157,12 @@ class Store:
         return int(self._read_doc(pointer)["version"])
 
     def model_versions(self) -> list[int]:
-        return sorted(
-            int(p.stem[1:]) for p in self._dirs["model"].glob("v*.json")
-        )
+        return sorted(int(p.stem[1:]) for p in self._dirs["model"].glob("v*.json"))
 
     def check_importable(self, doc) -> PpcoModel:
         """Parse and validate a model document without writing anything."""
         model = documents.model_from_doc(doc)
-        actor_ids = {p.stem for p in self._dirs["actors"].glob("*.json")} or None
-        violations = validate_model(model, actor_ids=actor_ids)
+        violations = validate_model(model, actor_ids=set(self._part("actors")) or None)
         if violations:
             raise ModelRejectedError(
                 "model document rejected by validation",
@@ -148,8 +173,8 @@ class Store:
     def import_model(self, doc) -> int:
         """Validate and publish a model document as the next version."""
         with self.lock:
-            # The snapshot is stale from here on; free it before decoding another model.
-            self._workspace = self._model = None
+            # The cached model is stale from here on; free it before decoding another.
+            self._parts.pop("model", None)
             model = self.check_importable(doc)
             version = self.current_version() + 1
             canonical = documents.canonical_dumps(documents.model_to_doc(model))
@@ -159,7 +184,7 @@ class Store:
                 documents.canonical_dumps({"version": version}),
                 durable=True,
             )
-            self._bump_generation()
+            self._bump("model")
             return version
 
     def export_model(self, version: int | None = None) -> dict:
@@ -173,21 +198,8 @@ class Store:
         return self._read_doc(path)
 
     def load_model(self) -> PpcoModel:
-        """The current version, decoded once per version file."""
-        version = self.current_version()
-        try:
-            stat = self._version_path(version).stat()
-            key = (version, stat.st_ino, stat.st_mtime_ns)
-        except OSError:
-            key = None
-        cached = self._model
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        self._model = cached = None
-        model = documents.model_from_doc(self.export_model(version))
-        if key is not None:
-            self._model = (key, model)
-        return model
+        """The current version, decoded from its file."""
+        return documents.model_from_doc(self.export_model())
 
     # -- actors ------------------------------------------------------------------
 
@@ -195,14 +207,13 @@ class Store:
         actor = documents.actor_from_doc(doc)
         _check_id("actor", actor.id)
         with self.lock:
-            model = self.load_model()
-            if actor.team_id not in model.teams_by_id:
+            if actor.team_id not in self._part("model").teams_by_id:
                 raise InvalidInputError(f"actor {actor.id}: team {actor.team_id} does not resolve")
             path = self._dirs["actors"] / f"{actor.id}.json"
             if path.exists():
                 raise ConflictError(f"actor {actor.id} is already registered")
             self._write_text(path, documents.canonical_dumps(documents.actor_to_doc(actor)))
-            self._bump_generation()
+            self._bump("actors")
             return actor
 
     def list_actors(self) -> list[Actor]:
@@ -212,10 +223,10 @@ class Store:
         )
 
     def get_actor(self, actor_id: str) -> Actor:
-        path = self._dirs["actors"] / f"{_check_id('actor', actor_id)}.json"
-        if not path.exists():
+        actor = self._part("actors").get(_check_id("actor", actor_id))
+        if actor is None:
             raise NotFoundError(f"unknown actor: {actor_id}")
-        return documents.actor_from_doc(self._read_doc(path))
+        return actor
 
     # -- viewpoints ----------------------------------------------------------------
 
@@ -228,9 +239,7 @@ class Store:
         for vp in new:
             _check_id("viewpoint", vp.id)
         with self.lock:
-            model = self.load_model()
-            actors = {a.id: a for a in self.list_actors()}
-            registry = {vp.id: vp for vp in self.list_viewpoints()}
+            registry = dict(self._part("viewpoints"))
             for vp in new:
                 if vp.id in registry:
                     raise ConflictError(f"viewpoint {vp.id} is already registered")
@@ -238,7 +247,9 @@ class Store:
             if len({vp.id for vp in new}) != len(new):
                 raise ConflictError("duplicate viewpoint ids within one batch")
             violations = [
-                v for v in validate_registry(model, actors, registry) if v.code.startswith("viewpoint.")
+                v
+                for v in validate_registry(self._part("model"), self._part("actors"), registry)
+                if v.code.startswith("viewpoint.")
             ]
             if violations:
                 raise InvalidInputError(
@@ -248,14 +259,11 @@ class Store:
             for vp in new:
                 path = self._dirs["viewpoints"] / f"{vp.id}.json"
                 self._write_text(path, documents.canonical_dumps(documents.viewpoint_to_doc(vp)))
-            self._bump_generation()
+            self._bump("viewpoints")
             return new
 
     def list_viewpoints(self, actor_id: str | None = None) -> list[Viewpoint]:
-        """Every registered viewpoint, or one actor's, sorted by id.
-
-        The per-actor form answers from the cached Workspace.
-        """
+        """Every registered viewpoint read from disk, or one actor's from the cache, sorted by id."""
         if actor_id is None:
             return sorted(
                 (documents.viewpoint_from_doc(self._read_doc(p)) for p in self._dirs["viewpoints"].glob("*.json")),
@@ -263,7 +271,7 @@ class Store:
             )
         self.get_actor(actor_id)
         return sorted(
-            (vp for vp in self.load_workspace().viewpoints.values() if vp.actor_id == actor_id),
+            (vp for vp in self._part("viewpoints").values() if vp.actor_id == actor_id),
             key=lambda vp: vp.id,
         )
 
@@ -273,7 +281,7 @@ class Store:
         policy = parse_policy(text)
         with self.lock:
             self._write_text(self._dirs["policies"] / "default.policy", serialize_policy(policy))
-            self._bump_generation()
+            self._bump("policies")
         return policy
 
     def get_policy_text(self) -> str:
@@ -283,7 +291,11 @@ class Store:
         return path.read_text(encoding="utf-8")
 
     def get_policy(self) -> Policy:
-        return parse_policy(self.get_policy_text())
+        """The stored policy, or the empty one when none has been set."""
+        try:
+            return parse_policy(self.get_policy_text())
+        except NotFoundError:
+            return Policy()
 
     # -- changes and annotations -------------------------------------------------------
 
@@ -312,38 +324,23 @@ class Store:
             self._write_text(path, documents.canonical_dumps(documents.annotation_to_doc(annotation)))
 
     def list_annotations(self, actor_id: str | None = None) -> list[Annotation]:
+        """Every annotation, or one actor's, sorted by id. Files are named
+        ``<change-id>.<actor-id>.json``, so one actor's form reads only those
+        ending in its id; the decoded ``actor_id`` decides, as ids may hold dots."""
         if actor_id is not None:
             self.get_actor(actor_id)
-        annotations = sorted(
-            (documents.annotation_from_doc(self._read_doc(p)) for p in self._dirs["annotations"].glob("*.json")),
-            key=lambda a: a.id,
-        )
-        if actor_id is None:
-            return annotations
-        return [a for a in annotations if a.actor_id == actor_id]
+        paths = self._dirs["annotations"].glob("*.json" if actor_id is None else f"*.{actor_id}.json")
+        annotations = sorted((documents.annotation_from_doc(self._read_doc(p)) for p in paths), key=lambda a: a.id)
+        return [a for a in annotations if actor_id in (None, a.actor_id)]
 
     # -- assembled snapshot ---------------------------------------------------------------
 
     def load_workspace(self) -> Workspace:
-        """Current model, registries, and policy as one immutable snapshot.
-
-        The last snapshot is reused while the generation token is unchanged.
-        On a change it is dropped before the reload, so a Store never holds
-        two at once.
-        """
-        token = self._read_generation()
-        cached = self._workspace
-        if cached is not None and cached[0] == token:
-            return cached[1]
-        self._workspace = cached = None
-        model = self.load_model()
-        actors = {a.id: a for a in self.list_actors()}
-        viewpoints = {vp.id: vp for vp in self.list_viewpoints()}
-        try:
-            policy = self.get_policy()
-        except NotFoundError:
-            policy = Policy()
-        workspace = Workspace(model=model, actors=actors, viewpoints=viewpoints, policy=policy)
-        if token is not None:
-            self._workspace = (token, workspace)
-        return workspace
+        """Current model, registries, and policy as one immutable snapshot,
+        assembled from the four cached parts."""
+        return Workspace(
+            model=self._part("model"),
+            actors=self._part("actors"),
+            viewpoints=self._part("viewpoints"),
+            policy=self._part("policies"),
+        )

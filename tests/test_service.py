@@ -33,15 +33,31 @@ def request(base, method, path, body=None):
 
 def raw_request(base, method, path, headers, body=b""):
     """Send exactly the given header lines and body bytes; returns (status, body)."""
-    host, port = base.removeprefix("http://").split(":")
+    host = base.removeprefix("http://").split(":")[0]
     head = "".join(f"{line}\r\n" for line in [f"{method} {path} HTTP/1.1", f"Host: {host}", *headers])
+    status, _, body = raw_exchange(base, head.encode("ascii") + b"\r\n" + body)
+    return status, body
+
+
+def raw_exchange(base, data):
+    """Send ``data`` as is; returns (status, header lines, body) of the reply.
+
+    A reply without a status line (the stdlib's HTTP/0.9 form) is all body.
+    """
+    host, port = base.removeprefix("http://").split(":")
     with socket.create_connection((host, int(port)), timeout=10) as sock:
-        sock.sendall(head.encode("ascii") + b"\r\n" + body)
+        sock.sendall(data)
         response = b""
-        while chunk := sock.recv(65536):
-            response += chunk
-    status_line, _, rest = response.partition(b"\r\n")
-    return int(status_line.split()[1]), rest.partition(b"\r\n\r\n")[2]
+        try:
+            while chunk := sock.recv(65536):
+                response += chunk
+        except ConnectionResetError:  # a server closing on unread request bytes resets after its reply
+            pass
+    if not response.startswith(b"HTTP/"):
+        return None, [], response
+    head, _, body = response.partition(b"\r\n\r\n")
+    status_line, *headers = head.decode("latin-1").split("\r\n")
+    return int(status_line.split()[1]), headers, body
 
 
 class TestModelEndpoints:
@@ -205,6 +221,50 @@ class TestBodyErrors:
         assert store.list_changes() == []
 
 
+class TestStdlibErrors:
+    """Requests the stdlib refuses before any route runs still get an error document."""
+
+    @pytest.mark.parametrize(
+        ("data", "status", "code"),
+        [
+            (b"DELETE /changes/chg-000001 HTTP/1.1\r\n\r\n", 501, "not_implemented"),
+            (b"PUT /model HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}", 501, "not_implemented"),
+            (b"GET /model current HTTP/1.1\r\n\r\n", 400, "bad_request"),
+            (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", 414, "request_uri_too_long"),
+        ],
+        ids=["DELETE", "PUT", "garbled-line", "long-uri"],
+    )
+    def test_refusal_gets_an_error_document(self, service, data, status, code):
+        base, _ = service
+        got, headers, body = raw_exchange(base, data)
+        assert got == status
+        assert "Content-Type: application/json; charset=utf-8" in headers
+        assert f"Content-Length: {len(body)}" in headers
+        error = json.loads(body)["error"]
+        assert error["code"] == code
+        assert documents.canonical_dumps({"error": error}).encode("utf-8") == body
+
+    @pytest.mark.parametrize("line", [b"GARBLED", b"GET /model/current HTTP/one", b"GET /model/current HTTP/2.0"])
+    def test_a_line_without_a_usable_version_gets_the_bare_document(self, service, line):
+        # With no version to answer in, the stdlib replies in the HTTP/0.9 form: no status line, no headers.
+        base, _ = service
+        status, _, body = raw_exchange(base, line + b"\r\n\r\n")
+        assert status is None
+        assert json.loads(body)["error"]["code"] in ("bad_request", "http_version_not_supported")
+
+    def test_head_gets_the_status_and_no_body(self, service):
+        base, _ = service
+        status, headers, body = raw_exchange(base, b"HEAD /model/current HTTP/1.1\r\n\r\n")
+        assert status == 501
+        assert "Content-Type: application/json; charset=utf-8" in headers
+        assert body == b""
+
+    def test_the_server_keeps_serving(self, service):
+        base, _ = service
+        raw_exchange(base, b"GARBLED\r\n\r\n")
+        assert request(base, "GET", "/model/current")[0] == 200
+
+
 _PROPOSAL = {"author_actor_id": "ActorX", "artifact_id": "CycloneVessel", "batch": "Geometry-Form"}
 
 # (route, body, JSON path of the wrongly typed field)
@@ -262,6 +322,17 @@ class TestCliParity:
         base, _ = service
         _, body = request(base, "GET", "/artifacts/CycloneVessel/filter?actor=ActorX")
         assert cli_bytes("filter", "--actor", "ActorX", "--artifact", "CycloneVessel", "--audit") == body
+
+    def test_filter_parity_on_an_id_that_needs_escaping(self, service, cli_bytes, model_doc):
+        base, _ = service
+        model_doc["artifacts"].append(
+            {"id": "Dust Valve/2", "name": "Spare valve", "kind": "component", "parent_id": "DustOutlet", "description": ""}
+        )
+        assert request(base, "POST", "/model", model_doc)[0] == 201
+        status, body = request(base, "GET", "/artifacts/Dust%20Valve%2F2/filter?actor=ActorZ")
+        assert status == 200
+        assert json.loads(body)["artifact_id"] == "Dust Valve/2"
+        assert cli_bytes("filter", "--actor", "ActorZ", "--artifact", "Dust Valve/2", "--audit") == body
 
     def test_viewpoints_parity(self, service, cli_bytes):
         base, _ = service

@@ -6,7 +6,7 @@ import pytest
 
 from _corruptions import CORRUPTIONS
 from viewfilter import documents, fixture
-from viewfilter.changes import ChangeStatus, ChangeWorkflow
+from viewfilter.changes import Annotation, ChangeStatus, ChangeWorkflow
 from viewfilter.engine import filtering_info_artifact
 from viewfilter.errors import (
     ConflictError,
@@ -148,7 +148,27 @@ class TestRegistries:
         real = Store._read_doc
         monkeypatch.setattr(Store, "_read_doc", lambda store, path: read.append(path.name) or real(store, path))
         assert [vp.id for vp in seeded_store.list_viewpoints("ActorX")] == ["VP1", "VP2"]
-        assert read == ["ActorX.json"]
+        assert read == []
+
+    def test_list_annotations_by_actor_reads_only_the_actor_files(self, seeded_store, monkeypatch):
+        # "a.b" ends in ".b", so its files match the glob for actor "b" and
+        # the decoded actor id has to tell them apart.
+        for actor_id in ("b", "a.b"):
+            seeded_store.add_actor({**_ACTOR_W, "id": actor_id, "name": actor_id})
+        for change_id in ("chg-000001", "chg-000002"):
+            for actor_id in ("ActorY", "b", "a.b"):
+                seeded_store.save_annotation(
+                    Annotation(f"{change_id}.{actor_id}", change_id, actor_id, "CycloneVessel", "Geometry-Form", 1)
+                )
+        seeded_store.load_workspace()
+        read = []
+        real = Store._read_doc
+        monkeypatch.setattr(Store, "_read_doc", lambda store, path: read.append(path.name) or real(store, path))
+        assert [a.id for a in seeded_store.list_annotations("b")] == ["chg-000001.b", "chg-000002.b"]
+        assert sorted(read) == ["chg-000001.a.b.json", "chg-000001.b.json", "chg-000002.a.b.json", "chg-000002.b.json"]
+        read.clear()
+        assert [a.id for a in seeded_store.list_annotations("a.b")] == ["chg-000001.a.b", "chg-000002.a.b"]
+        assert sorted(read) == ["chg-000001.a.b.json", "chg-000002.a.b.json"]
 
     def test_list_viewpoints_by_actor_on_a_store_without_model(self, tmp_path):
         store = Store(tmp_path / "empty")
@@ -279,6 +299,21 @@ def _publish_by_decision(store):
     assert change.status is ChangeStatus.EFFECTIVE
 
 
+_PARTS = ("model", "actors", "viewpoints", "policies")
+
+
+def _tokens(store):
+    return {part: (store.root / part / "TOKEN").read_bytes() for part in _PARTS}
+
+
+def _parts(ws):
+    return (ws.model, ws.actors, ws.viewpoints, ws.policy)
+
+
+def _same(parts, others):
+    return all(a is b for a, b in zip(parts, others))
+
+
 class TestWorkspaceCache:
     """One Store stands in for a running server, another for a CLI writer."""
 
@@ -300,34 +335,81 @@ class TestWorkspaceCache:
 
     def test_other_writes_keep_the_cached_workspace(self, seeded_store):
         reader, writer = Store(seeded_store.root), Store(seeded_store.root)
-        token = (seeded_store.root / "generation").read_bytes()
-        ws = reader.load_workspace()
+        tokens = _tokens(seeded_store)
+        parts = _parts(reader.load_workspace())
         workflow = ChangeWorkflow(writer)
         writer.next_seq()
-        assert reader.load_workspace() is ws
+        assert _same(_parts(reader.load_workspace()), parts)
         change = workflow.propose("ActorX", "CycloneVessel", "Geometry-Form", {"description": "d"})
         assert change.status is ChangeStatus.PENDING
-        assert reader.load_workspace() is ws
+        assert _same(_parts(reader.load_workspace()), parts)
         assert workflow.decide(change.id, "ActorY", "reject").status is ChangeStatus.REJECTED
-        assert reader.load_workspace() is ws
-        assert (seeded_store.root / "generation").read_bytes() == token
+        assert _same(_parts(reader.load_workspace()), parts)
+        assert _tokens(seeded_store) == tokens
 
     @pytest.mark.parametrize("damage", [None, b"", b"\xff\xfe garbled \x00"])
     def test_damaged_generation_file_still_gives_current_filters(self, seeded_store, damage):
+        # Every part token is damaged: removed, emptied or overwritten.
         reader = Store(seeded_store.root)
         before = _filters(reader)
-        generation = seeded_store.root / "generation"
-        if damage is None:
-            generation.unlink()
-        else:
-            generation.write_bytes(damage)
+        for part in _PARTS:
+            token = seeded_store.root / part / "TOKEN"
+            if damage is None:
+                token.unlink()
+            else:
+                token.write_bytes(damage)
         # A policy edited behind the store's back shows at once, as with no cache.
         (seeded_store.root / "policies" / "default.policy").write_text(fixture.DEFAULT_POLICY_TEXT + _QUALITY_RULE)
         after = _filters(reader)
         assert after != before
-        assert after == _filters(Store(seeded_store.root))
         if not damage:
-            assert reader.load_workspace() is not reader.load_workspace()
+            first, second = _parts(reader.load_workspace()), _parts(reader.load_workspace())
+            assert not any(a is b for a, b in zip(first, second))
+        assert after == _filters(Store(seeded_store.root))
+
+    def test_each_writer_moves_only_its_own_token(self, seeded_store):
+        writer = Store(seeded_store.root)
+        writes = [
+            ("model", lambda: writer.import_model(writer.export_model())),
+            ("actors", lambda: writer.add_actor(_ACTOR_W)),
+            ("viewpoints", lambda: writer.add_viewpoints([_VP_W])),
+            ("policies", lambda: writer.set_policy(fixture.DEFAULT_POLICY_TEXT)),
+            ("model", lambda: _publish_by_decision(writer)),
+        ]
+        for part, write in writes:
+            before = _tokens(seeded_store)
+            write()
+            after = _tokens(seeded_store)
+            assert [p for p in _PARTS if after[p] != before[p]] == [part]
+
+    @pytest.mark.parametrize(
+        "write, moved",
+        [
+            (lambda store: store.set_policy(fixture.DEFAULT_POLICY_TEXT + _QUALITY_RULE), "policies"),
+            (_publish_by_decision, "model"),
+        ],
+        ids=["set_policy", "publishing decision"],
+    )
+    def test_a_warm_reader_decodes_only_the_part_that_moved(self, seeded_store, monkeypatch, write, moved):
+        reader = Store(seeded_store.root)
+        old = _parts(reader.load_workspace())
+        write(Store(seeded_store.root))
+        decoded = []
+        for name in ("model_from_doc", "actor_from_doc", "viewpoint_from_doc"):
+            real = getattr(documents, name)
+            monkeypatch.setattr(documents, name, lambda doc, name=name, real=real: decoded.append(name) or real(doc))
+        new = _parts(reader.load_workspace())
+        assert decoded == (["model_from_doc"] if moved == "model" else [])
+        assert [a is not b for a, b in zip(old, new)] == [part == moved for part in _PARTS]
+
+    def test_a_store_without_part_tokens_is_cached_once_reopened(self, seeded_store):
+        for part in _PARTS:
+            (seeded_store.root / part / "TOKEN").unlink()
+        (seeded_store.root / "generation").write_text("left by an older version")
+        store = Store(seeded_store.root)
+        assert all(_tokens(store).values())
+        assert _same(_parts(store.load_workspace()), _parts(store.load_workspace()))
+        assert _filters(store) == _filters(Store(seeded_store.root))
 
     def test_a_write_landing_during_a_load_is_seen_by_the_next_load(self, seeded_store, monkeypatch):
         reader, writer = Store(seeded_store.root), Store(seeded_store.root)
