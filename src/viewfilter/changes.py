@@ -13,9 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
-from .engine import Workspace, filtering_info_artifact
+from .engine import Workspace
+# Not called here: bench/traced.py counts proposal-time filters by patching this name.
+from .engine import filtering_info_artifact  # noqa: F401
 from .errors import (
     ConflictError,
     InvalidInputError,
@@ -23,7 +25,7 @@ from .errors import (
     PermissionDeniedError,
 )
 from .policy import restitution_list_connexion_level
-from .viewpoints import filtering_list_vp_artifact
+from .viewpoints import filtering_list_vp_artifact, lookup_actor
 
 if TYPE_CHECKING:
     from .store import Store
@@ -63,19 +65,21 @@ class ChangeProposal:
     def __post_init__(self):
         if not set(self.decisions) <= self.concerned:
             raise InvalidInputError(f"change {self.id}: decisions recorded for non-concerned actors")
-        approvals = {a for a, d in self.decisions.items() if d is Decision.APPROVE}
-        rejected = any(d is Decision.REJECT for d in self.decisions.values())
-        unanimous = approvals == self.concerned
-        expectations = {
-            ChangeStatus.EFFECTIVE: unanimous and not rejected,
-            ChangeStatus.REJECTED: rejected,
-            ChangeStatus.PENDING: not rejected and not unanimous,
-            ChangeStatus.WITHDRAWN: not rejected and not unanimous,
-        }
-        if not expectations[self.status]:
+        settled = _settle(self.concerned, self.decisions)
+        if self.status is not settled and (self.status, settled) != (ChangeStatus.WITHDRAWN, ChangeStatus.PENDING):
             raise InvalidInputError(f"change {self.id}: status {self.status.value} contradicts decisions")
         if (self.resolved is None) != (self.status is ChangeStatus.PENDING):
             raise InvalidInputError(f"change {self.id}: resolved timestamp inconsistent with status")
+
+
+def _settle(concerned: frozenset[str], decisions: Mapping[str, Decision]) -> ChangeStatus:
+    """The unanimity rule: one rejection rejects, approval by every concerned
+    actor makes the change effective, anything else leaves it pending."""
+    if Decision.REJECT in decisions.values():
+        return ChangeStatus.REJECTED
+    if {a for a, d in decisions.items() if d is Decision.APPROVE} == concerned:
+        return ChangeStatus.EFFECTIVE
+    return ChangeStatus.PENDING
 
 
 @dataclass(frozen=True)
@@ -90,12 +94,7 @@ class Annotation:
     created: int
 
 
-def concerned_actors(
-    ws: Workspace,
-    artifact_id: str,
-    batch: str,
-    exclude_actor: str | None = None,
-) -> set[str]:
+def concerned_actors(ws: Workspace, artifact_id: str, batch: str) -> set[str]:
     """Actors whose own filter result on the artifact contains the batch.
 
     The merge is a union of batches, so an actor holds the batch exactly when
@@ -106,7 +105,7 @@ def concerned_actors(
     concerned = set()
     for vp in filtering_list_vp_artifact(ws.model, ws.viewpoints.values(), artifact_id):
         actor = ws.actors.get(vp.actor_id)
-        if actor is None or actor.id == exclude_actor or actor.id in concerned:
+        if actor is None or actor.id in concerned:
             continue
         if restitution_list_connexion_level(vp, actor, ws.policy).get(batch) is not None:
             concerned.add(actor.id)
@@ -124,19 +123,19 @@ def open_proposal(
 ) -> tuple[ChangeProposal, list[Annotation]]:
     """Create a proposal plus one annotation per concerned actor.
 
-    The author must hold the batch in their own filter result (write right);
-    with no other stakeholder the proposal is immediately effective.
+    The author must hold the batch in their own filter result (write right),
+    so must be among the actors holding it; the others are concerned. With
+    no other stakeholder the proposal is immediately effective.
     """
-    author_result = filtering_info_artifact(ws, artifact_id, author_actor_id)
-    if author_result.entries.get(batch) is None:
+    lookup_actor(ws.actors, author_actor_id)
+    holders = concerned_actors(ws, artifact_id, batch)
+    if author_actor_id not in holders:
         raise PermissionDeniedError(
             f"actor {author_actor_id} has no access to batch {batch} on artifact {artifact_id}"
         )
-    concerned = frozenset(concerned_actors(ws, artifact_id, batch, exclude_actor=author_actor_id))
-    if concerned:
-        status, resolved = ChangeStatus.PENDING, None
-    else:
-        status, resolved = ChangeStatus.EFFECTIVE, created
+    concerned = frozenset(holders - {author_actor_id})
+    status = _settle(concerned, {})
+    resolved = None if status is ChangeStatus.PENDING else created
     proposal = ChangeProposal(
         id=change_id,
         author_actor_id=author_actor_id,
@@ -170,11 +169,9 @@ def record_decision(
     if actor_id in proposal.decisions:
         raise ConflictError(f"actor {actor_id} already decided on change {proposal.id}")
     decisions = {**proposal.decisions, actor_id: decision}
-    if decision is Decision.REJECT:
-        return replace(proposal, decisions=decisions, status=ChangeStatus.REJECTED, resolved=seq)
-    if {a for a, d in decisions.items() if d is Decision.APPROVE} == proposal.concerned:
-        return replace(proposal, decisions=decisions, status=ChangeStatus.EFFECTIVE, resolved=seq)
-    return replace(proposal, decisions=decisions)
+    status = _settle(proposal.concerned, decisions)
+    resolved = None if status is ChangeStatus.PENDING else seq
+    return replace(proposal, decisions=decisions, status=status, resolved=resolved)
 
 
 def withdraw_proposal(proposal: ChangeProposal, actor_id: str, seq: int) -> ChangeProposal:
@@ -218,12 +215,7 @@ class ChangeWorkflow:
             proposal, annotations = open_proposal(
                 ws, author_actor_id, artifact_id, batch, delta, change_id, self.store.next_seq()
             )
-            if proposal.status is ChangeStatus.EFFECTIVE:
-                self._publish(proposal)
-            self.store.save_change(proposal)
-            for annotation in annotations:
-                self.store.save_annotation(annotation)
-            return proposal
+            return self._commit(proposal, annotations)
 
     def decide(self, change_id: str, actor_id: str, decision: Decision | str) -> ChangeProposal:
         if not isinstance(decision, Decision):
@@ -233,21 +225,20 @@ class ChangeWorkflow:
                 raise InvalidInputError(f"unknown decision: {decision!r}") from None
         with self.store.lock:
             proposal = self.store.get_change(change_id)
-            updated = record_decision(proposal, actor_id, decision, self.store.next_seq())
-            if updated.status is ChangeStatus.EFFECTIVE:
-                self._publish(updated)
-            self.store.save_change(updated)
-            return updated
+            return self._commit(record_decision(proposal, actor_id, decision, self.store.next_seq()))
 
     def withdraw(self, change_id: str, actor_id: str) -> ChangeProposal:
         with self.store.lock:
             proposal = self.store.get_change(change_id)
-            updated = withdraw_proposal(proposal, actor_id, self.store.next_seq())
-            self.store.save_change(updated)
-            return updated
+            return self._commit(withdraw_proposal(proposal, actor_id, self.store.next_seq()))
 
-    def _publish(self, proposal: ChangeProposal) -> int:
-        doc = staged_model_doc(proposal.delta)
-        if doc is None:
-            doc = self.store.export_model()
-        return self.store.import_model(doc)
+    def _commit(self, proposal: ChangeProposal, annotations: Sequence[Annotation] = ()) -> ChangeProposal:
+        """Land an operation's outcome: publish if the proposal is now
+        effective, then save the change, then its annotations."""
+        if proposal.status is ChangeStatus.EFFECTIVE:
+            doc = staged_model_doc(proposal.delta)
+            self.store.import_model(self.store.export_model() if doc is None else doc)
+        self.store.save_change(proposal)
+        for annotation in annotations:
+            self.store.save_annotation(annotation)
+        return proposal

@@ -128,6 +128,9 @@ def make_handler(store: Store):
 
         def send_error(self, code, message=None, explain=None):
             """The stdlib's own refusals, as an error document under its status."""
+            if len(self.requestline.split()) != 2:
+                # Only a two-word line is a real HTTP/0.9 request; any other gets a status line.
+                self.request_version = "HTTP/1.0"
             status = HTTPStatus(code)
             error = {"code": status.name.lower(), "message": message or status.phrase}
             self._respond(code, {"error": error}, close=True)

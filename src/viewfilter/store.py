@@ -1,4 +1,5 @@
-"""Single-writer, file-backed store of versioned canonical documents.
+"""File-backed store of versioned canonical documents, safe for concurrent
+writers in any number of processes.
 
 Layout under the store root::
 
@@ -9,11 +10,16 @@ Layout under the store root::
     changes/      one document per proposal
     annotations/  one document per emitted annotation
     seq           monotone event counter (logical timestamps, change ids)
+    LOCK          empty; the write lock is an ``flock`` on it
 
-Writes go through an in-process lock and land via write-to-temp (a temp name
-unique to the writing process and thread) plus atomic rename; model version
-publication additionally fsyncs, making it the single durable commit point
-the change workflow relies on. Readers always see a complete document.
+Every read-modify-write (``next_seq``, registrations, policy sets, model
+imports, and each whole change-workflow operation) holds ``Store.lock``,
+which excludes writers in other processes as well as other threads; readers
+take no lock. Writes land via write-to-temp (a temp name unique to the
+writing process and thread) plus atomic rename; model version publication
+additionally fsyncs the version, ``CURRENT`` and the ``model/`` directory,
+making it the single durable commit point the change workflow relies on.
+Readers always see a complete document.
 
 The Workspace has four parts: model, actors, viewpoints and policy. Each
 part's directory holds a ``TOKEN`` that the part's writers (model imports
@@ -30,6 +36,7 @@ writes every missing token.
 
 from __future__ import annotations
 
+import fcntl
 import itertools
 import os
 import re
@@ -43,7 +50,7 @@ from .engine import Workspace
 from .errors import ConflictError, InvalidInputError, ModelRejectedError, NotFoundError
 from .model import PpcoModel, validate_model
 from .policy import Policy, parse_policy, serialize_policy
-from .viewpoints import Actor, Viewpoint, validate_registry
+from .viewpoints import Actor, Viewpoint, lookup_actor, restitution_list_viewpoint, validate_registry
 
 _SAFE_ID = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 
@@ -70,12 +77,46 @@ _PARTS = {
 }
 
 
+class _WriteLock:
+    """Re-entrant write lock for threads and processes: an ``RLock`` plus an
+    ``flock`` on ``<root>/LOCK`` that only the outermost ``with`` opens and
+    takes, and only its exit releases and closes, so an idle Store holds no
+    descriptor. Two Stores on one root exclude each other like two processes,
+    so nesting their locks in one thread deadlocks."""
+
+    def __init__(self, path: Path):
+        self._path = path
+        self._rlock = threading.RLock()
+        self._depth = 0
+        self._fd: int | None = None
+
+    def __enter__(self):
+        self._rlock.acquire()
+        self._depth += 1
+        if self._depth == 1:
+            try:
+                self._fd = os.open(self._path, os.O_RDWR | os.O_CREAT, 0o644)
+                fcntl.flock(self._fd, fcntl.LOCK_EX)
+            except BaseException:
+                self.__exit__()
+                raise
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._depth -= 1
+        if self._depth == 0 and self._fd is not None:
+            fcntl.flock(self._fd, fcntl.LOCK_UN)  # explicit: a forked child may share the descriptor
+            os.close(self._fd)
+            self._fd = None
+        self._rlock.release()
+
+
 class Store:
     """File-backed store rooted at a directory."""
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
-        self.lock = threading.RLock()
+        self.lock = _WriteLock(self.root / "LOCK")
         self._dirs = {
             name: self.root / name
             for name in ("model", "actors", "viewpoints", "policies", "changes", "annotations")
@@ -101,9 +142,23 @@ class Store:
                 handle.flush()
                 os.fsync(handle.fileno())
         os.replace(tmp, path)
+        if durable:  # the rename, too, must survive a crash
+            fd = os.open(path.parent, os.O_RDONLY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
 
     def _read_doc(self, path: Path):
         return documents.canonical_loads(path.read_text(encoding="utf-8"))
+
+    def _read_all(self, kind: str, from_doc, pattern: str = "*.json") -> list:
+        """Every document of a kind matching ``pattern``, decoded and sorted by id."""
+        return sorted((from_doc(self._read_doc(p)) for p in self._dirs[kind].glob(pattern)), key=lambda e: e.id)
+
+    def _save(self, kind: str, entity, to_doc) -> None:
+        """Write one entity as ``<kind>/<id>.json``."""
+        self._write_text(self._dirs[kind] / f"{entity.id}.json", documents.canonical_dumps(to_doc(entity)))
 
     # -- per-part cache ----------------------------------------------------------
 
@@ -209,24 +264,17 @@ class Store:
         with self.lock:
             if actor.team_id not in self._part("model").teams_by_id:
                 raise InvalidInputError(f"actor {actor.id}: team {actor.team_id} does not resolve")
-            path = self._dirs["actors"] / f"{actor.id}.json"
-            if path.exists():
+            if (self._dirs["actors"] / f"{actor.id}.json").exists():
                 raise ConflictError(f"actor {actor.id} is already registered")
-            self._write_text(path, documents.canonical_dumps(documents.actor_to_doc(actor)))
+            self._save("actors", actor, documents.actor_to_doc)
             self._bump("actors")
             return actor
 
     def list_actors(self) -> list[Actor]:
-        return sorted(
-            (documents.actor_from_doc(self._read_doc(p)) for p in self._dirs["actors"].glob("*.json")),
-            key=lambda a: a.id,
-        )
+        return self._read_all("actors", documents.actor_from_doc)
 
     def get_actor(self, actor_id: str) -> Actor:
-        actor = self._part("actors").get(_check_id("actor", actor_id))
-        if actor is None:
-            raise NotFoundError(f"unknown actor: {actor_id}")
-        return actor
+        return lookup_actor(self._part("actors"), _check_id("actor", actor_id))
 
     # -- viewpoints ----------------------------------------------------------------
 
@@ -244,36 +292,23 @@ class Store:
                 if vp.id in registry:
                     raise ConflictError(f"viewpoint {vp.id} is already registered")
                 registry[vp.id] = vp
-            if len({vp.id for vp in new}) != len(new):
-                raise ConflictError("duplicate viewpoint ids within one batch")
-            violations = [
-                v
-                for v in validate_registry(self._part("model"), self._part("actors"), registry)
-                if v.code.startswith("viewpoint.")
-            ]
+            violations = validate_registry(self._part("model"), self._part("actors"), registry)
             if violations:
                 raise InvalidInputError(
                     "viewpoint registration rejected by validation",
                     violations=[v.to_doc() for v in violations],
                 )
             for vp in new:
-                path = self._dirs["viewpoints"] / f"{vp.id}.json"
-                self._write_text(path, documents.canonical_dumps(documents.viewpoint_to_doc(vp)))
+                self._save("viewpoints", vp, documents.viewpoint_to_doc)
             self._bump("viewpoints")
             return new
 
     def list_viewpoints(self, actor_id: str | None = None) -> list[Viewpoint]:
         """Every registered viewpoint read from disk, or one actor's from the cache, sorted by id."""
         if actor_id is None:
-            return sorted(
-                (documents.viewpoint_from_doc(self._read_doc(p)) for p in self._dirs["viewpoints"].glob("*.json")),
-                key=lambda vp: vp.id,
-            )
-        self.get_actor(actor_id)
-        return sorted(
-            (vp for vp in self._part("viewpoints").values() if vp.actor_id == actor_id),
-            key=lambda vp: vp.id,
-        )
+            return self._read_all("viewpoints", documents.viewpoint_from_doc)
+        _check_id("actor", actor_id)
+        return restitution_list_viewpoint(self._part("actors"), self._part("viewpoints"), actor_id)
 
     # -- policy ---------------------------------------------------------------------
 
@@ -300,10 +335,9 @@ class Store:
     # -- changes and annotations -------------------------------------------------------
 
     def save_change(self, proposal: ChangeProposal) -> None:
+        """Write a change; the caller holds ``lock``, as the change workflow does."""
         _check_id("change", proposal.id)
-        with self.lock:
-            path = self._dirs["changes"] / f"{proposal.id}.json"
-            self._write_text(path, documents.canonical_dumps(documents.change_to_doc(proposal)))
+        self._save("changes", proposal, documents.change_to_doc)
 
     def get_change(self, change_id: str) -> ChangeProposal:
         path = self._dirs["changes"] / f"{_check_id('change', change_id)}.json"
@@ -312,16 +346,12 @@ class Store:
         return documents.change_from_doc(self._read_doc(path))
 
     def list_changes(self) -> list[ChangeProposal]:
-        return sorted(
-            (documents.change_from_doc(self._read_doc(p)) for p in self._dirs["changes"].glob("*.json")),
-            key=lambda c: c.id,
-        )
+        return self._read_all("changes", documents.change_from_doc)
 
     def save_annotation(self, annotation: Annotation) -> None:
+        """Write an annotation; the caller holds ``lock``, as the change workflow does."""
         _check_id("annotation", annotation.id)
-        with self.lock:
-            path = self._dirs["annotations"] / f"{annotation.id}.json"
-            self._write_text(path, documents.canonical_dumps(documents.annotation_to_doc(annotation)))
+        self._save("annotations", annotation, documents.annotation_to_doc)
 
     def list_annotations(self, actor_id: str | None = None) -> list[Annotation]:
         """Every annotation, or one actor's, sorted by id. Files are named
@@ -329,8 +359,8 @@ class Store:
         ending in its id; the decoded ``actor_id`` decides, as ids may hold dots."""
         if actor_id is not None:
             self.get_actor(actor_id)
-        paths = self._dirs["annotations"].glob("*.json" if actor_id is None else f"*.{actor_id}.json")
-        annotations = sorted((documents.annotation_from_doc(self._read_doc(p)) for p in paths), key=lambda a: a.id)
+        pattern = "*.json" if actor_id is None else f"*.{actor_id}.json"
+        annotations = self._read_all("annotations", documents.annotation_from_doc, pattern)
         return [a for a in annotations if actor_id in (None, a.actor_id)]
 
     # -- assembled snapshot ---------------------------------------------------------------

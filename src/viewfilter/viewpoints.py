@@ -85,7 +85,8 @@ class Viewpoint:
             raise InvalidInputError(f"importance must be an integer in [1, 5], got {self.importance!r}")
 
 
-def _actor(actors: Mapping[str, Actor], actor_id: str) -> Actor:
+def lookup_actor(actors: Mapping[str, Actor], actor_id: str) -> Actor:
+    """The registered actor with this id; an unknown id is ``NotFoundError``."""
     actor = actors.get(actor_id)
     if actor is None:
         raise NotFoundError(f"unknown actor: {actor_id}")
@@ -98,7 +99,7 @@ def restitution_list_viewpoint(
     actor_id: str,
 ) -> list[Viewpoint]:
     """Step 1: every registered viewpoint of the actor, sorted by viewpoint id."""
-    _actor(actors, actor_id)
+    lookup_actor(actors, actor_id)
     return sorted((vp for vp in viewpoints.values() if vp.actor_id == actor_id), key=lambda vp: vp.id)
 
 
@@ -132,7 +133,7 @@ def classification_vp(
     viewpoints: Sequence[Viewpoint],
 ) -> list[Viewpoint]:
     """Step 3: order by the actor's competence, highest first; ties by id."""
-    keyed = [(competence_for(_actor(actors, vp.actor_id), vp), vp) for vp in viewpoints]
+    keyed = [(competence_for(lookup_actor(actors, vp.actor_id), vp), vp) for vp in viewpoints]
     return [vp for _, vp in sorted(keyed, key=lambda pair: (-pair[0].value, pair[1].id))]
 
 
@@ -141,15 +142,10 @@ def validate_registry(
     actors: Mapping[str, Actor],
     viewpoints: Mapping[str, Viewpoint],
 ) -> list[Violation]:
-    """Cross-reference checks between model, actor registry, and viewpoints."""
+    """Cross-reference checks of each viewpoint against the model, the actor
+    registry and the other viewpoints. An actor's team is checked when the
+    actor is registered, and team members when a model is validated."""
     out: list[Violation] = []
-    for actor in actors.values():
-        if actor.team_id not in model.teams_by_id:
-            out.append(Violation("actor.unknown_team", actor.id, f"team {actor.team_id} does not resolve"))
-    for team in model.organization.teams:
-        for member in team.member_actor_ids:
-            if member not in actors:
-                out.append(Violation("organization.unknown_member", team.id, f"actor {member} is not registered"))
     for vp in viewpoints.values():
         actor = actors.get(vp.actor_id)
         if actor is None:

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import unanimity_oracle
-from viewfilter import documents
+from viewfilter import changes, documents
 from viewfilter.changes import (
     ChangeProposal,
     ChangeStatus,
@@ -58,7 +58,7 @@ class TestConcernedActors:
                 assert concerned_actors(workspace, artifact_id, batch) == expected
 
     def test_geometry_form_on_vessel_concerns_only_actor_y(self, workspace):
-        assert concerned_actors(workspace, "CycloneVessel", "Geometry-Form", exclude_actor="ActorX") == {"ActorY"}
+        assert concerned_actors(workspace, "CycloneVessel", "Geometry-Form") - {"ActorX"} == {"ActorY"}
 
     def test_batch_nobody_receives(self, workspace):
         assert concerned_actors(workspace, "CycloneVessel", "NoSuchBatch") == set()
@@ -152,6 +152,16 @@ class TestDecisions:
             assert proposal.status.value == unanimity_oracle(set(concerned), applied)
         else:
             assert proposal.status is ChangeStatus.EFFECTIVE
+
+    def test_withdrawn_is_valid_only_where_pending_would_be(self):
+        fields = dict(
+            id="chg-000001", author_actor_id="A", artifact_id="x", batch="B", delta=None,
+            status=ChangeStatus.WITHDRAWN, concerned=frozenset({"A1", "A2"}), created=1, resolved=2,
+        )
+        ChangeProposal(**fields, decisions={"A1": Decision.APPROVE})
+        for decisions in ({"A1": Decision.APPROVE, "A2": Decision.APPROVE}, {"A1": Decision.REJECT}):
+            with pytest.raises(InvalidInputError, match="status withdrawn contradicts decisions"):
+                ChangeProposal(**fields, decisions=decisions)
 
     def test_status_invariants_enforced_on_construction(self):
         with pytest.raises(InvalidInputError):
@@ -252,6 +262,18 @@ class TestStoreBackedWorkflow:
         assert seeded_store.get_change(change.id).concerned == frozenset({"ActorY"})
         with pytest.raises(PermissionDeniedError):
             workflow.decide(change.id, "ActorW", "approve")
+
+    def test_propose_runs_no_five_step_filter(self, seeded_store, monkeypatch):
+        def boom(*args):
+            raise AssertionError("the five-step filter ran")
+
+        monkeypatch.setattr(changes, "filtering_info_artifact", boom)
+        workflow = ChangeWorkflow(seeded_store)
+        assert workflow.propose("ActorX", "CycloneVessel", "Geometry-Form", {}).concerned == frozenset({"ActorY"})
+        with pytest.raises(PermissionDeniedError, match="actor ActorZ has no access to batch Geometry-Form"):
+            workflow.propose("ActorZ", "CycloneVessel", "Geometry-Form", {})
+        with pytest.raises(NotFoundError, match="unknown actor: Nobody"):
+            workflow.propose("Nobody", "CycloneVessel", "Geometry-Form", {})
 
     def test_immediately_effective_proposal_bumps_version(self, seeded_store):
         change = ChangeWorkflow(seeded_store).propose(

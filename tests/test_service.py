@@ -244,13 +244,28 @@ class TestStdlibErrors:
         assert error["code"] == code
         assert documents.canonical_dumps({"error": error}).encode("utf-8") == body
 
-    @pytest.mark.parametrize("line", [b"GARBLED", b"GET /model/current HTTP/one", b"GET /model/current HTTP/2.0"])
-    def test_a_line_without_a_usable_version_gets_the_bare_document(self, service, line):
-        # With no version to answer in, the stdlib replies in the HTTP/0.9 form: no status line, no headers.
+    @pytest.mark.parametrize(
+        ("line", "status", "code"),
+        [
+            (b"GARBLED", 400, "bad_request"),
+            (b"GET /model/current HTTP/one", 400, "bad_request"),
+            (b"GET /model/current HTTP/2.0", 505, "http_version_not_supported"),
+        ],
+        ids=["GARBLED", "HTTP-one", "HTTP-2.0"],
+    )
+    def test_a_line_without_a_usable_version_gets_its_status(self, service, line, status, code):
         base, _ = service
-        status, _, body = raw_exchange(base, line + b"\r\n\r\n")
+        got, headers, body = raw_exchange(base, line + b"\r\n\r\n")
+        assert got == status
+        assert f"Content-Length: {len(body)}" in headers
+        assert json.loads(body)["error"]["code"] == code
+
+    def test_a_two_word_line_is_answered_in_the_http09_form(self, service):
+        # "POST /changes" is an HTTP/0.9 request line, so the refusal has no status line and no headers.
+        base, _ = service
+        status, _, body = raw_exchange(base, b"POST /changes\r\n\r\n")
         assert status is None
-        assert json.loads(body)["error"]["code"] in ("bad_request", "http_version_not_supported")
+        assert json.loads(body)["error"]["code"] == "bad_request"
 
     def test_head_gets_the_status_and_no_body(self, service):
         base, _ = service

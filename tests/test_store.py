@@ -1,10 +1,15 @@
 import copy
+import fcntl
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
 from _corruptions import CORRUPTIONS
+import viewfilter
 from viewfilter import documents, fixture
 from viewfilter.changes import Annotation, ChangeStatus, ChangeWorkflow
 from viewfilter.engine import filtering_info_artifact
@@ -137,6 +142,10 @@ class TestRegistries:
         doc = documents.viewpoint_to_doc(fixture.example_viewpoints()[2])
         with pytest.raises(ConflictError):
             seeded_store.add_viewpoints([doc])
+        fresh = {**doc, "id": "VP9"}
+        with pytest.raises(ConflictError):  # twice within one batch
+            seeded_store.add_viewpoints([fresh, fresh])
+        assert not (seeded_store.root / "viewpoints" / "VP9.json").exists()
 
     def test_list_viewpoints_by_actor(self, seeded_store):
         assert [vp.id for vp in seeded_store.list_viewpoints("ActorX")] == ["VP1", "VP2"]
@@ -255,6 +264,46 @@ class TestConcurrentWriters:
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         assert list((tmp_path / "store").rglob("*.tmp")) == []
+        assert (tmp_path / "store" / "seq").read_text() == "400"
+
+    def test_nested_lock_is_taken_once_and_released_by_the_outermost_exit(self, tmp_path):
+        store, other = Store(tmp_path / "store"), Store(tmp_path / "store")
+        probe = os.open(tmp_path / "store" / "LOCK", os.O_RDWR | os.O_CREAT)
+        try:
+            with store.lock:
+                with store.lock:
+                    assert store.next_seq() == 1
+                with pytest.raises(BlockingIOError):  # still held after the inner exit
+                    fcntl.flock(probe, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            fcntl.flock(probe, fcntl.LOCK_EX | fcntl.LOCK_NB)  # free after the outer one
+            fcntl.flock(probe, fcntl.LOCK_UN)
+        finally:
+            os.close(probe)
+        assert other.next_seq() == 2
+
+    def test_an_idle_store_holds_no_lock_file_open(self, tmp_path):
+        store = Store(tmp_path / "store")
+        before = len(os.listdir("/dev/fd"))
+        for _ in range(20):
+            store.next_seq()
+        assert len(os.listdir("/dev/fd")) == before
+
+    @pytest.mark.parametrize("trial", range(5))
+    def test_concurrent_cli_proposals_all_land(self, tmp_path, trial):
+        # Eight processes each propose once; every one must get its own change id.
+        root = fixture.seed_store(tmp_path / "store").root
+        src = str(Path(viewfilter.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        cmd = [sys.executable, "-m", "viewfilter", "--store", str(root), "change", "propose",
+               "--author", "ActorX", "--artifact", "CycloneVessel", "--batch", "Geometry-Form"]
+        procs = [subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) for _ in range(8)]
+        outputs = [proc.communicate(timeout=60) for proc in procs]
+        assert [proc.returncode for proc in procs] == [0] * 8, outputs
+        ids = sorted(documents.canonical_loads(out.decode())["id"] for out, _ in outputs)
+        assert ids == [f"chg-{n:06d}" for n in range(1, 16, 2)]
+        assert (root / "seq").read_text() == "16"
+        assert sorted(p.stem for p in (root / "changes").glob("*.json")) == ids
+        assert len(list((root / "annotations").glob("*.json"))) == 8
 
 
 _ACTOR_W = {
