@@ -194,8 +194,8 @@ class ChangeWorkflow:
     """Store-backed orchestration of the proposal lifecycle.
 
     A new model version is published at the single point a proposal turns
-    effective (the staged model from the delta when present, otherwise the
-    current content is republished under the next version). Rejections and
+    effective (the staged model from the delta when present, validated and
+    imported; otherwise a byte copy of the current version). Rejections and
     withdrawals publish nothing.
     """
 
@@ -237,7 +237,10 @@ class ChangeWorkflow:
         effective, then save the change, then its annotations."""
         if proposal.status is ChangeStatus.EFFECTIVE:
             doc = staged_model_doc(proposal.delta)
-            self.store.import_model(self.store.export_model() if doc is None else doc)
+            if doc is None:
+                self.store.republish_model()
+            else:
+                self.store.import_model(doc)
         self.store.save_change(proposal)
         for annotation in annotations:
             self.store.save_annotation(annotation)

@@ -16,10 +16,12 @@ from pathlib import Path
 from . import documents
 from .changes import ChangeWorkflow
 from .engine import filtering_info_artifact
-from .errors import DocumentError, DomainError, InternalError, InvalidInputError
+from .errors import DocumentError, InternalError, InvalidInputError
 from .model import validate_model
 from .policy import parse_policy, serialize_policy
-from .store import STORE_ENV_VAR, Store
+from .store import Store
+
+STORE_ENV_VAR = "VIEWFILTER_STORE"
 
 
 def _read_input(source: str) -> str:
@@ -48,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--store",
-        default=None,
+        default=os.environ.get(STORE_ENV_VAR, "store"),
         help=f"store root directory (default: ${STORE_ENV_VAR} or ./store)",
     )
     commands = parser.add_subparsers(dest="command", required=True)
@@ -116,20 +118,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _store_root(args) -> Path:
-    if args.store is not None:
-        return Path(args.store)
-    return Path(os.environ.get(STORE_ENV_VAR, "store"))
-
-
 def _run(args) -> int:
+    store = Store(args.store)  # opening a store writes nothing
     if args.command == "model":
         if args.subcommand == "import":
-            store = Store(_store_root(args))
             version = store.import_model(documents.canonical_loads(_read_input(args.file)))
             _emit_doc({"version": version})
         elif args.subcommand == "export":
-            store = Store(_store_root(args))
             _emit_doc(store.export_model(args.version))
         else:
             model = documents.model_from_doc(documents.canonical_loads(_read_input(args.file)))
@@ -138,7 +133,6 @@ def _run(args) -> int:
             return 1 if violations else 0
 
     elif args.command == "actor":
-        store = Store(_store_root(args))
         if args.subcommand == "add":
             actor = store.add_actor(documents.canonical_loads(_read_input(args.file)))
             _emit_doc(documents.actor_to_doc(actor))
@@ -149,7 +143,6 @@ def _run(args) -> int:
             _emit_doc({"annotations": [documents.annotation_to_doc(a) for a in annotations]})
 
     elif args.command == "vp":
-        store = Store(_store_root(args))
         if args.subcommand == "add":
             raw = documents.canonical_loads(_read_input(args.file))
             if isinstance(raw, dict) and "viewpoints" in raw:
@@ -168,20 +161,16 @@ def _run(args) -> int:
         if args.subcommand == "check":
             _emit(serialize_policy(parse_policy(_read_input(args.file))))
         elif args.subcommand == "set":
-            store = Store(_store_root(args))
             policy = store.set_policy(_read_input(args.file))
             _emit(serialize_policy(policy))
         else:
-            store = Store(_store_root(args))
             _emit(store.get_policy_text())
 
     elif args.command == "filter":
-        store = Store(_store_root(args))
         result = filtering_info_artifact(store.load_workspace(), args.artifact, args.actor)
         _emit_doc(documents.filter_result_to_doc(result, include_audit=args.audit))
 
     elif args.command == "change":
-        store = Store(_store_root(args))
         workflow = ChangeWorkflow(store)
         if args.subcommand == "propose":
             if args.delta_file is not None:
@@ -204,7 +193,7 @@ def _run(args) -> int:
     else:
         from .service import serve as run_service
 
-        run_service(_store_root(args), args.host, args.port)
+        run_service(args.store, args.host, args.port)
 
     return 0
 
@@ -213,9 +202,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _run(args)
-    except DomainError as exc:
-        _emit_doc(exc.to_doc())
-        return 1
     except Exception as exc:
         _emit_doc(InternalError.report(exc).to_doc())
         return 1

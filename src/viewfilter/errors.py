@@ -37,8 +37,12 @@ class InternalError(DomainError):
     http_status = 500
 
     @classmethod
-    def report(cls, exc: Exception) -> "InternalError":
-        """Write the traceback of ``exc`` to standard error; returns the error to answer with."""
+    def report(cls, exc: Exception) -> DomainError:
+        """The error to answer ``exc`` with: a ``DomainError`` as it is, any
+        other exception as an ``InternalError``, its traceback written to
+        standard error."""
+        if isinstance(exc, DomainError):
+            return exc
         import traceback  # here, so that CLI start-up does not pay for it
 
         traceback.print_exception(exc)

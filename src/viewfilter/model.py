@@ -158,18 +158,6 @@ class PpcoModel:
         except KeyError:
             raise NotFoundError(f"unknown artifact: {artifact_id}") from None
 
-    def activity(self, activity_id: str) -> Activity:
-        try:
-            return self.activities_by_id[activity_id]
-        except KeyError:
-            raise NotFoundError(f"unknown activity: {activity_id}") from None
-
-    def team(self, team_id: str) -> Team:
-        try:
-            return self.teams_by_id[team_id]
-        except KeyError:
-            raise NotFoundError(f"unknown team: {team_id}") from None
-
 
 def decompose(model: PpcoModel, artifact_id: str) -> list[Artifact]:
     """Direct children of an artifact, sorted by id; empty for a leaf."""

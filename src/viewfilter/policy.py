@@ -150,9 +150,6 @@ class ConnexionLevelList:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def __bool__(self) -> bool:
-        return bool(self.entries)
-
 
 def _match_segments(line: str, line_no: int, segments) -> list[str]:
     groups: list[str] = []

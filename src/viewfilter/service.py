@@ -22,7 +22,7 @@ from urllib.parse import parse_qs, unquote, urlparse
 from . import documents
 from .changes import ChangeWorkflow
 from .engine import filtering_info_artifact
-from .errors import DocumentError, DomainError, InternalError, InvalidInputError, NotFoundError
+from .errors import DocumentError, InternalError, InvalidInputError, NotFoundError
 from .store import Store
 
 
@@ -166,8 +166,6 @@ def make_handler(store: Store):
                         self._respond(status, doc)
                         return
                 raise NotFoundError(f"no route for {method} {parsed.path}")
-            except DomainError as exc:
-                self._respond(exc.http_status, exc.to_doc())
             except Exception as exc:  # the server keeps serving; the client gets a document
                 error = InternalError.report(exc)
                 self._respond(error.http_status, error.to_doc())

@@ -12,6 +12,9 @@ Layout under the store root::
     seq           monotone event counter (logical timestamps, change ids)
     LOCK          empty; the write lock is an ``flock`` on it
 
+Opening a store writes nothing, so a read of a missing root creates no
+directory; the first write creates the whole tree.
+
 Every read-modify-write (``next_seq``, registrations, policy sets, model
 imports, and each whole change-workflow operation) holds ``Store.lock``,
 which excludes writers in other processes as well as other threads; readers
@@ -22,16 +25,17 @@ making it the single durable commit point the change workflow relies on.
 Readers always see a complete document.
 
 The Workspace has four parts: model, actors, viewpoints and policy. Each
-part's directory holds a ``TOKEN`` that the part's writers (model imports
-and publications, actor and viewpoint registrations, policy sets) rewrite
-with a fresh, unique value after their data has landed; ``seq``, change and
-annotation writes touch no token. A ``Store`` caches each part under its
-token, so a write, in any process, makes readers reload that part alone. A
-reader reads a token before the data, so a token it has seen never names
-data older than what it then loads. A writer killed between its data and
-token renames leaves readers on the old part until the part's next write. A
-missing or empty token turns that part's cache off, and opening a store
-writes every missing token.
+part's directory holds a ``TOKEN`` that the part's writers (model imports,
+actor and viewpoint registrations, policy sets) rewrite with a fresh,
+unique value after their data has landed; ``seq``, change and annotation
+writes touch no token, and neither does a plain approval, which copies the
+current version's bytes as the next version. A ``Store`` caches each part
+under its token, so a write, in any process, makes readers reload that part
+alone, and a model import keeps the model it validated. A reader reads a
+token before the data, so a token it has seen never names data older than
+what it then loads. A writer killed between its data and token renames
+leaves readers on the old part until the part's next write. A missing or
+empty token turns that part's cache off until the part's next write.
 """
 
 from __future__ import annotations
@@ -53,8 +57,6 @@ from .policy import Policy, parse_policy, serialize_policy
 from .viewpoints import Actor, Viewpoint, lookup_actor, restitution_list_viewpoint, validate_registry
 
 _SAFE_ID = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
-
-STORE_ENV_VAR = "VIEWFILTER_STORE"
 
 # Shared by every Store in the process: with the pid and the clock it keeps
 # two tokens written in one process apart even when the clock has not moved.
@@ -81,11 +83,13 @@ class _WriteLock:
     """Re-entrant write lock for threads and processes: an ``RLock`` plus an
     ``flock`` on ``<root>/LOCK`` that only the outermost ``with`` opens and
     takes, and only its exit releases and closes, so an idle Store holds no
-    descriptor. Two Stores on one root exclude each other like two processes,
-    so nesting their locks in one thread deadlocks."""
+    descriptor. The outermost ``with`` also creates the store's directories.
+    Two Stores on one root exclude each other like two processes, so nesting
+    their locks in one thread deadlocks."""
 
-    def __init__(self, path: Path):
+    def __init__(self, path: Path, dirs):
         self._path = path
+        self._dirs = dirs
         self._rlock = threading.RLock()
         self._depth = 0
         self._fd: int | None = None
@@ -95,6 +99,8 @@ class _WriteLock:
         self._depth += 1
         if self._depth == 1:
             try:
+                for path in self._dirs:
+                    path.mkdir(parents=True, exist_ok=True)
                 self._fd = os.open(self._path, os.O_RDWR | os.O_CREAT, 0o644)
                 fcntl.flock(self._fd, fcntl.LOCK_EX)
             except BaseException:
@@ -116,18 +122,13 @@ class Store:
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
-        self.lock = _WriteLock(self.root / "LOCK")
         self._dirs = {
             name: self.root / name
             for name in ("model", "actors", "viewpoints", "policies", "changes", "annotations")
         }
-        for path in self._dirs.values():
-            path.mkdir(parents=True, exist_ok=True)
+        self.lock = _WriteLock(self.root / "LOCK", self._dirs.values())
         # Token paths as strings: every load reads all four, so each read is a bare os.read.
         self._tokens = {part: str(self._dirs[part] / "TOKEN") for part in _PARTS}
-        for part, path in self._tokens.items():
-            if not os.path.exists(path):
-                self._bump(part)
         # part -> (token, value); each entry is replaced whole, so threads
         # never see a token with another token's value.
         self._parts: dict[str, tuple[bytes, object]] = {}
@@ -162,10 +163,12 @@ class Store:
 
     # -- per-part cache ----------------------------------------------------------
 
-    def _bump(self, part: str) -> None:
-        """Invalidate every reader's copy of a part; call after its data has landed."""
+    def _bump(self, part: str) -> bytes:
+        """Invalidate every reader's copy of a part; call after its data has
+        landed. Returns the new token."""
         token = f"{os.getpid()}.{time.time_ns()}.{next(_token_counter)}"
         self._write_text(self._dirs[part] / "TOKEN", token)
+        return token.encode()
 
     def _part(self, part: str):
         """One Workspace part, reloaded only when its token has moved; the
@@ -205,6 +208,17 @@ class Store:
     def _version_path(self, version: int) -> Path:
         return self._dirs["model"] / f"v{version:06d}.json"
 
+    def _version_file(self, version: int | None) -> Path:
+        """The file of a version (default: the current one), which must exist."""
+        if version is None:
+            version = self.current_version()
+        if version < 1:
+            raise NotFoundError("no model has been imported")
+        path = self._version_path(version)
+        if not path.exists():
+            raise NotFoundError(f"model version {version} does not exist")
+        return path
+
     def current_version(self) -> int:
         pointer = self._dirs["model"] / "CURRENT"
         if not pointer.exists():
@@ -225,32 +239,38 @@ class Store:
             )
         return model
 
+    def _publish(self, canonical: str) -> int:
+        """Write the next version and point ``CURRENT`` at it; the caller holds ``lock``."""
+        version = self.current_version() + 1
+        self._write_text(self._version_path(version), canonical, durable=True)
+        self._write_text(
+            self._dirs["model"] / "CURRENT",
+            documents.canonical_dumps({"version": version}),
+            durable=True,
+        )
+        return version
+
     def import_model(self, doc) -> int:
-        """Validate and publish a model document as the next version."""
+        """Validate and publish a model document as the next version, and
+        keep the validated model as this Store's cached model part."""
         with self.lock:
             # The cached model is stale from here on; free it before decoding another.
             self._parts.pop("model", None)
             model = self.check_importable(doc)
-            version = self.current_version() + 1
-            canonical = documents.canonical_dumps(documents.model_to_doc(model))
-            self._write_text(self._version_path(version), canonical, durable=True)
-            self._write_text(
-                self._dirs["model"] / "CURRENT",
-                documents.canonical_dumps({"version": version}),
-                durable=True,
-            )
-            self._bump("model")
+            version = self._publish(documents.canonical_dumps(documents.model_to_doc(model)))
+            # Its tuples keep the document's order, not the stored one; every reader looks entities up by id.
+            self._parts["model"] = (self._bump("model"), model)
             return version
 
+    def republish_model(self) -> int:
+        """Publish the current version's bytes again as the next version.
+        The content is unchanged, so nothing is decoded or validated and no
+        token moves."""
+        with self.lock:
+            return self._publish(self._version_file(None).read_text(encoding="utf-8"))
+
     def export_model(self, version: int | None = None) -> dict:
-        if version is None:
-            version = self.current_version()
-        if version < 1:
-            raise NotFoundError("no model has been imported")
-        path = self._version_path(version)
-        if not path.exists():
-            raise NotFoundError(f"model version {version} does not exist")
-        return self._read_doc(path)
+        return self._read_doc(self._version_file(version))
 
     def load_model(self) -> PpcoModel:
         """The current version, decoded from its file."""
@@ -283,25 +303,33 @@ class Store:
 
         Batching lets mutually referencing viewpoints be added together.
         """
-        new = [documents.viewpoint_from_doc(doc) for doc in docs]
-        for vp in new:
-            _check_id("viewpoint", vp.id)
+        new: dict[str, Viewpoint] = {}
+        for doc in docs:
+            vp = documents.viewpoint_from_doc(doc)
+            if _check_id("viewpoint", vp.id) in new:
+                raise ConflictError(f"viewpoint {vp.id} appears twice in the batch")
+            new[vp.id] = vp
         with self.lock:
-            registry = dict(self._part("viewpoints"))
-            for vp in new:
-                if vp.id in registry:
-                    raise ConflictError(f"viewpoint {vp.id} is already registered")
-                registry[vp.id] = vp
-            violations = validate_registry(self._part("model"), self._part("actors"), registry)
+            registry = self._part("viewpoints")
+            for vp_id in new:
+                if vp_id in registry:
+                    raise ConflictError(f"viewpoint {vp_id} is already registered")
+            # Only the batch is judged: a registered viewpoint that a later
+            # model orphaned must not close the registry.
+            violations = [
+                v
+                for v in validate_registry(self._part("model"), self._part("actors"), {**registry, **new})
+                if v.subject in new
+            ]
             if violations:
                 raise InvalidInputError(
                     "viewpoint registration rejected by validation",
                     violations=[v.to_doc() for v in violations],
                 )
-            for vp in new:
+            for vp in new.values():
                 self._save("viewpoints", vp, documents.viewpoint_to_doc)
             self._bump("viewpoints")
-            return new
+            return list(new.values())
 
     def list_viewpoints(self, actor_id: str | None = None) -> list[Viewpoint]:
         """Every registered viewpoint read from disk, or one actor's from the cache, sorted by id."""

@@ -90,6 +90,21 @@ def _duplicate_process(doc):
     doc["processes"].append({"id": "P1", "name": "Duplicate process", "activities": []})
 
 
+def _duplicate_activity(doc):
+    process = doc["processes"][0]
+    process["activities"].append({**process["activities"][0], "name": "Duplicate activity", "tasks": []})
+
+
+def _duplicate_task(doc):
+    tasks = doc["processes"][0]["activities"][0]["tasks"]
+    tasks.append({**tasks[0], "name": "Duplicate task"})
+
+
+def _duplicate_team(doc):
+    teams = doc["organization"]["teams"]
+    teams[1]["id"] = teams[0]["id"]
+
+
 CORRUPTIONS = {
     "second_root": (_second_root, "decomposition.multiple_roots"),
     "dangling_parent": (_dangling_parent, "decomposition.dangling_parent"),
@@ -107,4 +122,7 @@ CORRUPTIONS = {
     "activity_parent_mismatch": (_activity_parent_mismatch, "activity.parent_mismatch"),
     "task_parent_mismatch": (_task_parent_mismatch, "task.parent_mismatch"),
     "duplicate_process": (_duplicate_process, "process.duplicate_id"),
+    "duplicate_activity": (_duplicate_activity, "activity.duplicate_id"),
+    "duplicate_task": (_duplicate_task, "task.duplicate_id"),
+    "duplicate_team": (_duplicate_team, "organization.duplicate_team"),
 }

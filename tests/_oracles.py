@@ -92,6 +92,9 @@ def naive_validate_model_doc(doc: dict) -> set[str]:
     process_ids = [p["id"] for p in doc["processes"]]
     if len(process_ids) != len(set(process_ids)):
         codes.add("process.duplicate_id")
+    activity_ids = [act["id"] for p in doc["processes"] for act in p["activities"]]
+    if len(activity_ids) != len(set(activity_ids)):
+        codes.add("activity.duplicate_id")
     task_ids = []
     for p in doc["processes"]:
         for act in p["activities"]:
@@ -101,6 +104,8 @@ def naive_validate_model_doc(doc: dict) -> set[str]:
                 task_ids.append(t["id"])
                 if t["activity_id"] != act["id"]:
                     codes.add("task.parent_mismatch")
+    if len(task_ids) != len(set(task_ids)):
+        codes.add("task.duplicate_id")
     for f in doc["task_flows"]:
         if f["from_task"] not in task_ids or f["to_task"] not in task_ids:
             codes.add("flow.dangling_task")
@@ -108,6 +113,9 @@ def naive_validate_model_doc(doc: dict) -> set[str]:
             codes.add("flow.self_loop")
 
     org = doc["organization"]
+    team_ids = [t["id"] for t in org["teams"]]
+    if len(team_ids) != len(set(team_ids)):
+        codes.add("organization.duplicate_team")
     matrix = org["collaboration_matrix"]
     n = len(org["teams"])
     if len(matrix) != n or any(len(row) != n for row in matrix):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import unanimity_oracle
-from viewfilter import changes, documents
+from viewfilter import changes, documents, fixture
 from viewfilter.changes import (
     ChangeProposal,
     ChangeStatus,
@@ -25,6 +25,7 @@ from viewfilter.errors import (
     NotFoundError,
     PermissionDeniedError,
 )
+from viewfilter.store import Store
 
 ACTOR_POOL = [f"A{i}" for i in range(6)]
 
@@ -208,6 +209,34 @@ class TestStoreBackedWorkflow:
         assert updated.status is ChangeStatus.EFFECTIVE
         assert seeded_store.model_versions() == [1, 2]
         assert seeded_store.current_version() == 2
+
+    def test_plain_approval_copies_the_current_version(self, tmp_path):
+        # ActorZ, a member of team T3, is not registered, so the model would
+        # fail validation against today's registry if it were imported again.
+        store = Store(tmp_path / "store")
+        store.import_model(documents.model_to_doc(fixture.cyclone_vessel_model()))
+        for actor in fixture.example_actors()[:2]:
+            store.add_actor(documents.actor_to_doc(actor))
+        store.add_viewpoints([documents.viewpoint_to_doc(vp) for vp in fixture.example_viewpoints()[:3]])
+        store.set_policy(fixture.DEFAULT_POLICY_TEXT)
+        token = (store.root / "model" / "TOKEN").read_bytes()
+        workflow = ChangeWorkflow(store)
+        change = workflow.propose("ActorX", "CycloneVessel", "Geometry-Form", {"description": "d"})
+        assert workflow.decide(change.id, "ActorY", "approve").status is ChangeStatus.EFFECTIVE
+        assert store.get_change(change.id).status is ChangeStatus.EFFECTIVE
+        assert store.model_versions() == [1, 2]
+        model = store.root / "model"
+        assert (model / "v000002.json").read_bytes() == (model / "v000001.json").read_bytes()
+        assert (model / "TOKEN").read_bytes() == token
+
+    def test_unknown_decision_is_invalid_input(self, seeded_store):
+        workflow = ChangeWorkflow(seeded_store)
+        change = workflow.propose("ActorX", "CycloneVessel", "Geometry-Form", {"description": "d"})
+        seq = (seeded_store.root / "seq").read_text()
+        with pytest.raises(InvalidInputError, match="unknown decision: 'maybe'"):
+            workflow.decide(change.id, "ActorY", "maybe")
+        assert (seeded_store.root / "seq").read_text() == seq
+        assert seeded_store.get_change(change.id) == change
 
     def test_staged_model_is_applied_on_approval(self, seeded_store):
         workflow = ChangeWorkflow(seeded_store)

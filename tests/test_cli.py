@@ -6,7 +6,9 @@ import pytest
 from _corruptions import CORRUPTIONS
 from _oracles import MERGED_TABLE
 from viewfilter import documents, fixture
+from viewfilter.changes import ChangeWorkflow
 from viewfilter.cli import main
+from viewfilter.policy import parse_policy, serialize_policy
 
 
 @pytest.fixture()
@@ -94,7 +96,56 @@ class TestModelCommands:
         assert json.loads(out) == {"version": 1}
 
 
+_ACTOR_W = {
+    "id": "ActorW", "name": "ActorW", "role": "late joiner",
+    "situation": "internal", "team_id": "T2", "competences": {"geometry": 5},
+}
+_VP9 = {
+    "id": "VP9", "actor_id": "ActorY",
+    "domain": {"activity_id": "geometry-design", "discipline": "geometry"},
+    "objective": {"focus_label": "cone detail", "target_artifact_id": "ConeShell"},
+    "relationships": [], "importance": 3,
+}
+_QUALITY_POLICY = fixture.DEFAULT_POLICY_TEXT + "\nrule discipline=quality activity=* competence>=1\n  grant Requirements:1\n"
+_DELTA = {"description": "thicker inlet", "ticket": 7}
+_PROPOSE = ("change", "propose", "--author", "ActorX", "--artifact", "CycloneVessel", "--batch", "Geometry-Form")
+
+
+def _proposed_in_process(root):
+    change = ChangeWorkflow(fixture.seed_store(root)).propose("ActorX", "CycloneVessel", "Geometry-Form", _DELTA)
+    return documents.canonical_dumps(documents.change_to_doc(change))
+
+
+# Each write command: its arguments before the input file, the input, and
+# the expected output given a scratch directory.
+_WRITES = {
+    "actor add": (("actor", "add"), json.dumps(_ACTOR_W), lambda tmp: documents.canonical_dumps(_ACTOR_W)),
+    "vp add list": (("vp", "add"), json.dumps([_VP9]), lambda tmp: documents.canonical_dumps({"viewpoints": [_VP9]})),
+    "vp add batch document": (
+        ("vp", "add"),
+        json.dumps({"viewpoints": [_VP9]}),
+        lambda tmp: documents.canonical_dumps({"viewpoints": [_VP9]}),
+    ),
+    "policy set": (("policy", "set"), _QUALITY_POLICY, lambda tmp: serialize_policy(parse_policy(_QUALITY_POLICY))),
+    "change propose --delta-file": ((*_PROPOSE, "--delta-file"), json.dumps(_DELTA), _proposed_in_process),
+}
+
+
 class TestRegistryCommands:
+    @pytest.mark.parametrize("name", sorted(_WRITES))
+    def test_write_command_prints_what_it_stored(self, run, store_root, tmp_path, name):
+        argv, text, expected = _WRITES[name]
+        source = tmp_path / "input"
+        source.write_text(text, encoding="utf-8")
+        code, out = run("--store", store_root, *argv, source)
+        assert (code, out) == (0, expected(tmp_path / "reference"))
+
+    def test_policy_show_without_a_policy_exits_1(self, run, tmp_path, model_doc):
+        run("--store", tmp_path / "store", "model", "import", _write_json(tmp_path / "model.json", model_doc))
+        code, out = run("--store", tmp_path / "store", "policy", "show")
+        assert code == 1
+        assert json.loads(out) == {"error": {"code": "not_found", "message": "no policy has been set"}}
+
     def test_actor_list(self, run, store_root):
         code, out = run("--store", store_root, "actor", "list")
         assert code == 0
@@ -121,8 +172,6 @@ class TestRegistryCommands:
         policy_path.write_text(fixture.DEFAULT_POLICY_TEXT, encoding="utf-8")
         code, out = run("policy", "check", policy_path)
         assert code == 0
-        from viewfilter.policy import parse_policy, serialize_policy
-
         assert out == serialize_policy(parse_policy(fixture.DEFAULT_POLICY_TEXT))
 
     def test_policy_check_reports_location(self, run, tmp_path):
@@ -155,6 +204,14 @@ class TestFilterCommand:
         code, out = run("--store", store_root, "filter", "--actor", "NoSuchActor", "--artifact", "CycloneVessel")
         assert code == 1
         assert json.loads(out)["error"]["code"] == "not_found"
+
+    def test_default_store_that_does_not_exist_is_not_created(self, run, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("VIEWFILTER_STORE", raising=False)
+        code, out = run("filter", "--actor", "ActorX", "--artifact", "CycloneVessel")
+        assert code == 1
+        assert json.loads(out) == {"error": {"code": "not_found", "message": "no model has been imported"}}
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_argument_is_usage_error(self, store_root):
         with pytest.raises(SystemExit) as exc:

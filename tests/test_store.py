@@ -94,6 +94,20 @@ class TestModelVersions:
         with pytest.raises(NotFoundError):
             Store(tmp_path / "store").export_model()
 
+    def test_opening_and_reading_a_missing_root_creates_nothing(self, tmp_path):
+        root = tmp_path / "store"
+        store = Store(root)
+        with pytest.raises(NotFoundError, match="no model has been imported"):
+            store.load_workspace()
+        with pytest.raises(NotFoundError):
+            store.get_policy_text()
+        assert (store.model_versions(), store.list_changes(), store.list_annotations()) == ([], [], [])
+        assert not root.exists()
+        assert store.next_seq() == 1  # the first write creates the whole tree
+        assert sorted(p.name for p in root.iterdir()) == [
+            "LOCK", "actors", "annotations", "changes", "model", "policies", "seq", "viewpoints",
+        ]
+
     def test_reopened_store_sees_same_state(self, seeded_store):
         reopened = Store(seeded_store.root)
         assert reopened.export_model() == seeded_store.export_model()
@@ -143,9 +157,28 @@ class TestRegistries:
         with pytest.raises(ConflictError):
             seeded_store.add_viewpoints([doc])
         fresh = {**doc, "id": "VP9"}
-        with pytest.raises(ConflictError):  # twice within one batch
+        with pytest.raises(ConflictError, match="viewpoint VP9 appears twice in the batch"):
             seeded_store.add_viewpoints([fresh, fresh])
         assert not (seeded_store.root / "viewpoints" / "VP9.json").exists()
+
+    def test_registration_judges_only_the_batch(self, seeded_store):
+        # A model without the dust outlet orphans VP4, which no operation removes.
+        doc = seeded_store.export_model()
+        gone = {"DustOutlet", "DustHopper", "DustValve"}
+        doc["artifacts"] = [a for a in doc["artifacts"] if a["id"] not in gone]
+        doc["interactions"] = [i for i in doc["interactions"] if not gone & {i["endpoint_a"], i["endpoint_b"]}]
+        doc["organization"]["teams"][2]["responsibility_artifact_id"] = "MountingFrame"
+        seeded_store.import_model(doc)
+        vp9 = {**_VP_W, "actor_id": "ActorY", "objective": {"focus_label": "cone", "target_artifact_id": "ConeShell"}}
+        assert [vp.id for vp in seeded_store.add_viewpoints([vp9])] == ["VP9"]
+        # The batch's own faults are still reported, with references resolved against the registry.
+        refs = [{"other_viewpoint_id": other, "kind": "refines"} for other in ("VP9", "VP11")]
+        bad = {**vp9, "id": "VP10", "relationships": refs}
+        with pytest.raises(InvalidInputError) as exc:
+            seeded_store.add_viewpoints([bad])
+        assert [(v["code"], v["subject"]) for v in exc.value.details["violations"]] == [
+            ("viewpoint.relationship_dangling", "VP10"),
+        ]
 
     def test_list_viewpoints_by_actor(self, seeded_store):
         assert [vp.id for vp in seeded_store.list_viewpoints("ActorX")] == ["VP1", "VP2"]
@@ -268,6 +301,7 @@ class TestConcurrentWriters:
 
     def test_nested_lock_is_taken_once_and_released_by_the_outermost_exit(self, tmp_path):
         store, other = Store(tmp_path / "store"), Store(tmp_path / "store")
+        (tmp_path / "store").mkdir()
         probe = os.open(tmp_path / "store" / "LOCK", os.O_RDWR | os.O_CREAT)
         try:
             with store.lock:
@@ -451,14 +485,25 @@ class TestWorkspaceCache:
         assert decoded == (["model_from_doc"] if moved == "model" else [])
         assert [a is not b for a, b in zip(old, new)] == [part == moved for part in _PARTS]
 
-    def test_a_store_without_part_tokens_is_cached_once_reopened(self, seeded_store):
+    def test_a_tokenless_store_caches_each_part_from_its_next_write(self, seeded_store):
         for part in _PARTS:
             (seeded_store.root / part / "TOKEN").unlink()
         (seeded_store.root / "generation").write_text("left by an older version")
         store = Store(seeded_store.root)
-        assert all(_tokens(store).values())
-        assert _same(_parts(store.load_workspace()), _parts(store.load_workspace()))
-        assert _filters(store) == _filters(Store(seeded_store.root))
+        assert not any((seeded_store.root / part / "TOKEN").exists() for part in _PARTS)
+        writes = [
+            ("model", lambda: store.import_model(store.export_model())),
+            ("actors", lambda: store.add_actor(_ACTOR_W)),
+            ("viewpoints", lambda: store.add_viewpoints([_VP_W])),
+            ("policies", lambda: store.set_policy(fixture.DEFAULT_POLICY_TEXT + _QUALITY_RULE)),
+        ]
+        written = []
+        for part, write in [(None, lambda: None), *writes]:
+            write()
+            written.append(part)
+            cached = [a is b for a, b in zip(_parts(store.load_workspace()), _parts(store.load_workspace()))]
+            assert cached == [p in written for p in _PARTS], f"after the {part} write"
+            assert _filters(store) == _filters(Store(seeded_store.root))
 
     def test_a_write_landing_during_a_load_is_seen_by_the_next_load(self, seeded_store, monkeypatch):
         reader, writer = Store(seeded_store.root), Store(seeded_store.root)
@@ -504,6 +549,20 @@ class TestWorkspaceCache:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in readers)
         assert errors == []
+        assert _filters(store) == _filters(Store(seeded_store.root))
+
+    def test_an_import_keeps_the_model_it_validated(self, seeded_store, monkeypatch):
+        store = Store(seeded_store.root)
+        store.load_workspace()
+        version = store.import_model(_moved(store, "DustValve", "MountingFrame"))
+        decoded = []
+        real = documents.model_from_doc
+        monkeypatch.setattr(documents, "model_from_doc", lambda doc: decoded.append(1) or real(doc))
+        kept = store.load_workspace().model
+        assert decoded == []
+        assert Store(seeded_store.root).load_workspace().model == kept
+        assert decoded == [1]
+        assert documents.model_to_doc(kept) == store.export_model(version)
         assert _filters(store) == _filters(Store(seeded_store.root))
 
     def test_model_is_decoded_once_per_version(self, seeded_store, monkeypatch):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,10 +9,12 @@ from viewfilter.errors import InvalidInputError, NotFoundError
 from viewfilter.viewpoints import (
     Actor,
     CompetenceLevel,
+    RelationshipKind,
     Situation,
     Viewpoint,
     ViewpointDomain,
     ViewpointObjective,
+    ViewpointRelationship,
     classification_vp,
     filtering_list_vp_artifact,
     restitution_list_viewpoint,
@@ -145,6 +149,20 @@ class TestRegistryValidation:
         registry = {**workspace.viewpoints, "VPX": bad}
         codes = {v.code for v in validate_registry(workspace.model, workspace.actors, registry)}
         assert codes == {"viewpoint.unknown_actor", "viewpoint.unknown_artifact"}
+
+    @pytest.mark.parametrize(
+        ("change", "code"),
+        [
+            ({"domain": ViewpointDomain("no-such-activity", "geometry")}, "viewpoint.unknown_activity"),
+            ({"relationships": (ViewpointRelationship("VPX", RelationshipKind.REFINES),)}, "viewpoint.relationship_self"),
+        ],
+        ids=["unknown_activity", "relationship_self"],
+    )
+    def test_single_fault_yields_exactly_its_code(self, workspace, change, code):
+        bad = replace(_vp("VPX", "geometry", actor_id="ActorX"), **change)
+        registry = {**workspace.viewpoints, "VPX": bad}
+        violations = validate_registry(workspace.model, workspace.actors, registry)
+        assert [(v.code, v.subject) for v in violations] == [(code, "VPX")]
 
     def test_discipline_must_be_competent(self, workspace):
         bad = _vp("VPX", "astrology", actor_id="ActorX")
