@@ -4,79 +4,3 @@ Stores a product/process/organization model, evaluates per-actor viewpoints
 into leveled information batches, merges them into one adequate information
 set, and runs the modification proposal/approval workflow around the result.
 """
-
-from .changes import (
-    Annotation,
-    ChangeProposal,
-    ChangeStatus,
-    ChangeWorkflow,
-    Decision,
-    concerned_actors,
-    open_proposal,
-    record_decision,
-    withdraw_proposal,
-)
-from .engine import (
-    AuditEntry,
-    FilterResult,
-    Workspace,
-    filtering_info_artifact,
-    optimize_list_connexion_level,
-)
-from .errors import (
-    ConflictError,
-    DocumentError,
-    DomainError,
-    InvalidInputError,
-    InvalidStateError,
-    ModelRejectedError,
-    NotFoundError,
-    PermissionDeniedError,
-    PolicyParseError,
-    PolicySemanticError,
-)
-from .model import (
-    Activity,
-    Artifact,
-    ArtifactKind,
-    Interaction,
-    InteractionClass,
-    Organization,
-    PpcoModel,
-    Process,
-    Task,
-    TaskFlow,
-    Team,
-    Violation,
-    decompose,
-    interactions_of,
-    team_collaboration,
-    validate_model,
-)
-from .policy import (
-    ConnexionEntry,
-    ConnexionLevelList,
-    Grant,
-    Policy,
-    PolicyRule,
-    parse_policy,
-    restitution_list_connexion_level,
-    serialize_policy,
-)
-from .store import Store
-from .viewpoints import (
-    Actor,
-    CompetenceLevel,
-    RelationshipKind,
-    Situation,
-    Viewpoint,
-    ViewpointDomain,
-    ViewpointObjective,
-    ViewpointRelationship,
-    classification_vp,
-    filtering_list_vp_artifact,
-    restitution_list_viewpoint,
-    validate_registry,
-)
-
-__version__ = "0.1.0"

@@ -38,7 +38,7 @@ from .changes import Annotation, ChangeProposal
 from .engine import FilterResult
 from .errors import DocumentError
 from .model import Organization, PpcoModel, Violation
-from .policy import ConnexionEntry, ConnexionLevelList
+from .policy import ConnexionLevelList
 from .viewpoints import Actor, CompetenceLevel, Viewpoint
 
 
@@ -242,10 +242,6 @@ def connexion_list_to_doc(entries: ConnexionLevelList) -> list[dict]:
         {"batch": e.batch, "level": e.level, "provenance": sorted(e.provenance)}
         for e in entries
     ]
-
-
-def connexion_list_from_doc(doc: Any, path: str = "entries") -> ConnexionLevelList:
-    return ConnexionLevelList.from_entries(decoder(tuple[ConnexionEntry, ...])(doc, path))
 
 
 def filter_result_to_doc(result: FilterResult, include_audit: bool = True) -> dict:

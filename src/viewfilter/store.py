@@ -212,10 +212,10 @@ class Store:
         """The file of a version (default: the current one), which must exist."""
         if version is None:
             version = self.current_version()
-        if version < 1:
-            raise NotFoundError("no model has been imported")
+            if version == 0:
+                raise NotFoundError("no model has been imported")
         path = self._version_path(version)
-        if not path.exists():
+        if version < 1 or not path.exists():
             raise NotFoundError(f"model version {version} does not exist")
         return path
 
@@ -309,18 +309,14 @@ class Store:
             if _check_id("viewpoint", vp.id) in new:
                 raise ConflictError(f"viewpoint {vp.id} appears twice in the batch")
             new[vp.id] = vp
+        if not new:  # nothing to write, so no token moves
+            return []
         with self.lock:
             registry = self._part("viewpoints")
             for vp_id in new:
                 if vp_id in registry:
                     raise ConflictError(f"viewpoint {vp_id} is already registered")
-            # Only the batch is judged: a registered viewpoint that a later
-            # model orphaned must not close the registry.
-            violations = [
-                v
-                for v in validate_registry(self._part("model"), self._part("actors"), {**registry, **new})
-                if v.subject in new
-            ]
+            violations = validate_registry(self._part("model"), self._part("actors"), new, registry)
             if violations:
                 raise InvalidInputError(
                     "viewpoint registration rejected by validation",

@@ -140,13 +140,16 @@ def classification_vp(
 def validate_registry(
     model: PpcoModel,
     actors: Mapping[str, Actor],
-    viewpoints: Mapping[str, Viewpoint],
+    batch: Mapping[str, Viewpoint],
+    registered: Mapping[str, Viewpoint],
 ) -> list[Violation]:
-    """Cross-reference checks of each viewpoint against the model, the actor
-    registry and the other viewpoints. An actor's team is checked when the
-    actor is registered, and team members when a model is validated."""
+    """Cross-reference checks of each viewpoint in a batch against the model,
+    the actor registry and the other viewpoints, registered or in the batch.
+    Registered viewpoints are not judged, so one that a later model orphaned
+    never blocks a registration. An actor's team is checked when the actor is
+    registered, and team members when a model is validated."""
     out: list[Violation] = []
-    for vp in viewpoints.values():
+    for vp in batch.values():
         actor = actors.get(vp.actor_id)
         if actor is None:
             out.append(Violation("viewpoint.unknown_actor", vp.id, f"actor {vp.actor_id} does not resolve"))
@@ -167,7 +170,7 @@ def validate_registry(
         for rel in vp.relationships:
             if rel.other_viewpoint_id == vp.id:
                 out.append(Violation("viewpoint.relationship_self", vp.id, "relationship references the viewpoint itself"))
-            elif rel.other_viewpoint_id not in viewpoints:
+            elif rel.other_viewpoint_id not in batch and rel.other_viewpoint_id not in registered:
                 out.append(
                     Violation("viewpoint.relationship_dangling", vp.id, f"viewpoint {rel.other_viewpoint_id} does not resolve")
                 )

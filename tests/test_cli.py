@@ -61,6 +61,12 @@ class TestModelCommands:
         assert code == 1
         assert json.loads(out)["error"]["code"] == "not_found"
 
+    @pytest.mark.parametrize("version", ["0", "-3"])
+    def test_export_of_a_version_below_1_names_that_version(self, run, store_root, version):
+        code, out = run("--store", store_root, "model", "export", "--version", version)
+        error = {"code": "not_found", "message": f"model version {version} does not exist"}
+        assert (code, json.loads(out)) == (1, {"error": error})
+
     def test_validate_clean_model_exits_0(self, run, tmp_path, model_doc):
         doc_path = _write_json(tmp_path / "model.json", model_doc)
         code, out = run("model", "validate", doc_path)
@@ -155,6 +161,14 @@ class TestRegistryCommands:
         code, out = run("--store", store_root, "vp", "list", "--actor", "ActorX")
         assert code == 0
         assert [vp["id"] for vp in json.loads(out)["viewpoints"]] == ["VP1", "VP2"]
+
+    def test_vp_add_of_an_empty_batch_writes_nothing(self, run, store_root, monkeypatch):
+        token = store_root / "viewpoints" / "TOKEN"
+        before = token.read_bytes()
+        monkeypatch.setattr("sys.stdin", io.StringIO("[]"))
+        code, out = run("--store", store_root, "vp", "add", "-")
+        assert (code, out) == (0, documents.canonical_dumps({"viewpoints": []}))
+        assert token.read_bytes() == before
 
     def test_vp_add_rejects_dangling_reference(self, run, store_root, tmp_path):
         doc = {

@@ -4,7 +4,6 @@ import pytest
 
 from viewfilter import documents, fixture
 from viewfilter.changes import ChangeWorkflow
-from viewfilter.engine import filtering_info_artifact
 from viewfilter.errors import DocumentError
 
 
@@ -68,13 +67,6 @@ class TestStrictParsing:
         assert encoded["relationships"] == [doc["relationships"][i] for i in (2, 1, 0)]
         assert documents.viewpoint_to_doc(documents.viewpoint_from_doc(encoded)) == encoded
 
-    def test_connexion_entries_round_trip(self, workspace):
-        from viewfilter.engine import filtering_info_artifact
-
-        result = filtering_info_artifact(workspace, "CycloneVessel", "ActorX")
-        doc = documents.connexion_list_to_doc(result.entries)
-        assert documents.connexion_list_to_doc(documents.connexion_list_from_doc(doc)) == doc
-
 
 @pytest.fixture(scope="module")
 def proposed(tmp_path_factory):
@@ -116,14 +108,12 @@ _ERROR_TABLE = [
      "model.processes[0].activities[0].tasks[1]: missing keys ['name']"),
     ("actor", ("extra",), 1, "actor: unknown keys ['extra']"),
     ("viewpoint", ("objective", "extra"), 1, "viewpoint.objective: unknown keys ['extra']"),
-    ("entries", (0, "extra"), 1, "entries[0]: unknown keys ['extra']"),
     ("annotation", ("created",), _DELETE, "annotation: missing keys ['created']"),
     # not an object: a dataclass names the type found, a mapping does not
     ("model", (), [], "model: expected an object, got list"),
     ("model", ("artifacts", 2), "x", "model.artifacts[2]: expected an object, got str"),
     ("model", ("organization",), None, "model.organization: expected an object, got NoneType"),
     ("viewpoint", ("domain",), 1, "viewpoint.domain: expected an object, got int"),
-    ("entries", (1,), [], "entries[1]: expected an object, got list"),
     ("actor", ("competences",), [], "actor.competences: expected an object"),
     ("change", ("decisions",), None, "change.decisions: expected an object"),
     # an empty identifier, at each depth and inside lists
@@ -135,7 +125,6 @@ _ERROR_TABLE = [
     ("viewpoint", ("domain", "activity_id"), "", "viewpoint.domain.activity_id: expected a non-empty string"),
     ("viewpoint", ("relationships", 0, "other_viewpoint_id"), "",
      "viewpoint.relationships[0].other_viewpoint_id: expected a non-empty string"),
-    ("entries", (0, "provenance", 1), "", "entries[0].provenance[1]: expected a non-empty string"),
     ("change", ("concerned", 0), "", "change.concerned[0]: expected a non-empty string"),
     ("annotation", ("batch",), "", "annotation.batch: expected a non-empty string"),
     # a wrong type for a free-text field
@@ -144,7 +133,6 @@ _ERROR_TABLE = [
     ("viewpoint", ("objective", "focus_label"), [], "viewpoint.objective.focus_label: expected a string"),
     # a bool where an integer is expected
     ("viewpoint", ("importance",), True, "viewpoint.importance: expected an integer"),
-    ("entries", (0, "level"), False, "entries[0].level: expected an integer"),
     ("change", ("created",), True, "change.created: expected an integer"),
     ("annotation", ("created",), "2", "annotation.created: expected an integer"),
     # a bad enum value
@@ -160,13 +148,12 @@ _ERROR_TABLE = [
     ("model", ("artifacts", 0, "parent_id"), 3, "model.artifacts[0].parent_id: expected a string or null"),
     ("change", ("resolved",), "1", "change.resolved: expected an integer or null"),
     ("change", ("resolved",), False, "change.resolved: expected an integer or null"),
-    # not a list, for a field, a matrix row and the top-level entries
+    # not a list, for a tuple field, a matrix row and a frozenset field
     ("model", ("artifacts",), {}, "model.artifacts: expected a list"),
     ("model", ("processes", 0, "activities"), None, "model.processes[0].activities: expected a list"),
     ("model", ("organization", "collaboration_matrix", 1), 4,
      "model.organization.collaboration_matrix[1]: expected a list"),
     ("viewpoint", ("relationships",), "VP2", "viewpoint.relationships: expected a list"),
-    ("entries", (), {}, "entries: expected a list"),
     ("change", ("concerned",), "ActorY", "change.concerned: expected a list"),
     # a matrix cell and a mapping value
     ("model", ("organization", "collaboration_matrix", 0, 1), True,
@@ -193,13 +180,11 @@ def _edit(doc, path, value):
 
 
 @pytest.fixture()
-def sample_docs(model_doc, workspace, proposed):
-    entries = filtering_info_artifact(workspace, "CycloneVessel", "ActorX").entries
+def sample_docs(model_doc, proposed):
     return {
         "model": (documents.model_from_doc, model_doc),
         "actor": (documents.actor_from_doc, documents.actor_to_doc(fixture.example_actors()[0])),
         "viewpoint": (documents.viewpoint_from_doc, documents.viewpoint_to_doc(fixture.example_viewpoints()[0])),
-        "entries": (documents.connexion_list_from_doc, documents.connexion_list_to_doc(entries)),
         "change": (documents.change_from_doc, copy.deepcopy(proposed[0])),
         "annotation": (documents.annotation_from_doc, copy.deepcopy(proposed[1])),
     }

@@ -91,8 +91,12 @@ class TestModelVersions:
             seeded_store.export_model(99)
 
     def test_export_before_any_import(self, tmp_path):
-        with pytest.raises(NotFoundError):
+        with pytest.raises(NotFoundError, match="^no model has been imported$"):
             Store(tmp_path / "store").export_model()
+
+    def test_export_of_version_0_names_that_version(self, seeded_store):
+        with pytest.raises(NotFoundError, match="^model version 0 does not exist$"):
+            seeded_store.export_model(0)
 
     def test_opening_and_reading_a_missing_root_creates_nothing(self, tmp_path):
         root = tmp_path / "store"

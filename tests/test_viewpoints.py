@@ -142,13 +142,26 @@ class TestClassification:
 
 class TestRegistryValidation:
     def test_example_registry_is_clean(self, workspace):
-        assert validate_registry(workspace.model, workspace.actors, workspace.viewpoints) == []
+        assert validate_registry(workspace.model, workspace.actors, workspace.viewpoints, {}) == []
 
     def test_dangling_references_reported(self, workspace):
         bad = _vp("VPX", "geometry", target="Ghost", actor_id="Nobody")
-        registry = {**workspace.viewpoints, "VPX": bad}
-        codes = {v.code for v in validate_registry(workspace.model, workspace.actors, registry)}
+        codes = {v.code for v in validate_registry(workspace.model, workspace.actors, {"VPX": bad}, workspace.viewpoints)}
         assert codes == {"viewpoint.unknown_actor", "viewpoint.unknown_artifact"}
+
+    def test_only_the_batch_is_judged_and_it_resolves_in_the_registry(self, workspace):
+        # VPO targets an artifact the model lacks, as after a model that orphaned it.
+        orphan = _vp("VPO", "geometry", target="Ghost", actor_id="ActorX")
+        registered = {**workspace.viewpoints, "VPO": orphan}
+        refs = tuple(ViewpointRelationship(other, RelationshipKind.REFINES) for other in ("VP1", "VPO", "VPY", "VPZ"))
+        batch = {
+            "VPX": replace(_vp("VPX", "geometry", actor_id="ActorX"), relationships=refs),
+            "VPY": _vp("VPY", "geometry", actor_id="ActorX"),
+        }
+        violations = validate_registry(workspace.model, workspace.actors, batch, registered)
+        assert [(v.code, v.subject, v.detail) for v in violations] == [
+            ("viewpoint.relationship_dangling", "VPX", "viewpoint VPZ does not resolve"),
+        ]
 
     @pytest.mark.parametrize(
         ("change", "code"),
@@ -160,14 +173,12 @@ class TestRegistryValidation:
     )
     def test_single_fault_yields_exactly_its_code(self, workspace, change, code):
         bad = replace(_vp("VPX", "geometry", actor_id="ActorX"), **change)
-        registry = {**workspace.viewpoints, "VPX": bad}
-        violations = validate_registry(workspace.model, workspace.actors, registry)
+        violations = validate_registry(workspace.model, workspace.actors, {"VPX": bad}, workspace.viewpoints)
         assert [(v.code, v.subject) for v in violations] == [(code, "VPX")]
 
     def test_discipline_must_be_competent(self, workspace):
         bad = _vp("VPX", "astrology", actor_id="ActorX")
-        registry = {**workspace.viewpoints, "VPX": bad}
-        codes = {v.code for v in validate_registry(workspace.model, workspace.actors, registry)}
+        codes = {v.code for v in validate_registry(workspace.model, workspace.actors, {"VPX": bad}, workspace.viewpoints)}
         assert codes == {"viewpoint.discipline_not_competent"}
 
     def test_importance_bounds(self):
