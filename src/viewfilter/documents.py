@@ -63,22 +63,35 @@ _FREE_TEXT_FIELDS = frozenset({"name", "description", "role", "focus_label", "pa
 _SCALARS = {str: "a string", int: "an integer"}
 
 
-@cache
-def decoder(tp: Any, nonempty: bool = True) -> Callable[[Any, str], Any]:
-    """The strict decoding function for values of type ``tp``.
+class _Fault(Exception):
+    """A decoding error on its way out, as the message after the JSON path:
+    each enclosing list, mapping and object re-raises it with its own step
+    prepended, so no path is built while decoding succeeds."""
 
-    It is built once per type from the dataclass fields and their type hints;
-    it takes the value and its JSON path, which every error message starts
-    with. ``nonempty`` applies to strings only.
-    """
+
+def decode(tp: Any, value: Any, path: str) -> Any:
+    """``value`` strictly decoded as a ``tp``; ``path`` is its JSON path,
+    which every error message starts with."""
+    try:
+        return _decoder(tp)(value)
+    except _Fault as fault:
+        raise DocumentError(f"{path}{fault}") from None
+
+
+@cache
+def _decoder(tp: Any, nonempty: bool = True) -> Callable[[Any], Any]:
+    """The decoding function for values of type ``tp``, built once per type
+    from the dataclass fields and their type hints; it raises ``_Fault``,
+    which ``decode`` turns into a ``DocumentError``. ``nonempty`` applies to
+    strings only."""
     origin, args = get_origin(tp), get_args(tp)
 
     if tp is Any:
-        return lambda value, path: value
+        return lambda value: value
 
     if tp is CompetenceLevel:
-        decode_int = decoder(int)
-        return lambda value, path: CompetenceLevel(decode_int(value, path))
+        decode_int = _decoder(int)
+        return lambda value: CompetenceLevel(decode_int(value))
 
     if tp in _SCALARS or origin in (Union, UnionType):
         nullable = tp not in _SCALARS
@@ -88,61 +101,79 @@ def decoder(tp: Any, nonempty: bool = True) -> Callable[[Any, str], Any]:
         if nullable:
             expected += " or null"
 
-        def decode_scalar(value, path):
+        def decode_scalar(value):
             if isinstance(value, kind) and not isinstance(value, bool) and (value or not nonempty):
                 return value
             if value is None and nullable:
                 return None
-            raise DocumentError(f"{path}: expected {expected}")
+            raise _Fault(f": expected {expected}")
 
         return decode_scalar
 
     if origin in (tuple, frozenset):
-        decode_item = decoder(args[0])
+        decode_item = _decoder(args[0])
 
-        def decode_list(value, path):
+        def decode_list(value):
             if not isinstance(value, list):
-                raise DocumentError(f"{path}: expected a list")
-            return origin([decode_item(item, f"{path}[{idx}]") for idx, item in enumerate(value)])
+                raise _Fault(": expected a list")
+            items = []
+            try:
+                for item in value:
+                    items.append(decode_item(item))
+            except _Fault as fault:
+                raise _Fault(f"[{len(items)}]{fault}") from None
+            return origin(items)
 
         return decode_list
 
     if origin is abc.Mapping:
-        decode_value = decoder(args[1])
+        decode_value = _decoder(args[1])
 
-        def decode_mapping(value, path):
+        def decode_mapping(value):
             if not isinstance(value, dict):
-                raise DocumentError(f"{path}: expected an object")
-            return {key: decode_value(item, f"{path}.{key}") for key, item in value.items()}
+                raise _Fault(": expected an object")
+            items = {}
+            try:
+                for key, item in value.items():
+                    items[key] = decode_value(item)
+            except _Fault as fault:
+                raise _Fault(f".{key}{fault}") from None
+            return items
 
         return decode_mapping
 
     if isinstance(tp, type) and issubclass(tp, Enum):
         allowed = ", ".join(member.value for member in tp)
 
-        def decode_enum(value, path):
+        def decode_enum(value):
             try:
                 return tp(value)
             except ValueError:
-                raise DocumentError(f"{path}: expected one of [{allowed}], got {value!r}") from None
+                raise _Fault(f": expected one of [{allowed}], got {value!r}") from None
 
         return decode_enum
 
     hints = get_type_hints(tp)
     fields = tuple(
-        (f.name, decoder(hints[f.name], f.name not in _FREE_TEXT_FIELDS)) for f in dataclasses.fields(tp)
+        (f.name, _decoder(hints[f.name], f.name not in _FREE_TEXT_FIELDS)) for f in dataclasses.fields(tp)
     )
     keys = frozenset(name for name, _ in fields)
 
-    def decode_object(value, path):
+    def decode_object(value):
         if not isinstance(value, dict):
-            raise DocumentError(f"{path}: expected an object, got {type(value).__name__}")
+            raise _Fault(f": expected an object, got {type(value).__name__}")
         if value.keys() != keys:
             missing = keys - set(value)
             if missing:
-                raise DocumentError(f"{path}: missing keys {sorted(missing)}")
-            raise DocumentError(f"{path}: unknown keys {sorted(set(value) - keys)}")
-        return tp(*[decode(value[name], f"{path}.{name}") for name, decode in fields])
+                raise _Fault(f": missing keys {sorted(missing)}")
+            raise _Fault(f": unknown keys {sorted(set(value) - keys)}")
+        values = []
+        try:
+            for name, decode_field in fields:
+                values.append(decode_field(value[name]))
+        except _Fault as fault:
+            raise _Fault(f".{name}{fault}") from None
+        return tp(*values)
 
     return decode_object
 
@@ -199,7 +230,7 @@ def model_to_doc(model: PpcoModel) -> dict:
 
 
 def model_from_doc(doc: Any) -> PpcoModel:
-    return decoder(PpcoModel)(doc, "model")
+    return decode(PpcoModel, doc, "model")
 
 
 def actor_to_doc(actor: Actor) -> dict:
@@ -207,7 +238,7 @@ def actor_to_doc(actor: Actor) -> dict:
 
 
 def actor_from_doc(doc: Any) -> Actor:
-    return decoder(Actor)(doc, "actor")
+    return decode(Actor, doc, "actor")
 
 
 def viewpoint_to_doc(vp: Viewpoint) -> dict:
@@ -215,7 +246,7 @@ def viewpoint_to_doc(vp: Viewpoint) -> dict:
 
 
 def viewpoint_from_doc(doc: Any) -> Viewpoint:
-    return decoder(Viewpoint)(doc, "viewpoint")
+    return decode(Viewpoint, doc, "viewpoint")
 
 
 def change_to_doc(change: ChangeProposal) -> dict:
@@ -223,7 +254,7 @@ def change_to_doc(change: ChangeProposal) -> dict:
 
 
 def change_from_doc(doc: Any) -> ChangeProposal:
-    return decoder(ChangeProposal)(doc, "change")
+    return decode(ChangeProposal, doc, "change")
 
 
 def annotation_to_doc(annotation: Annotation) -> dict:
@@ -231,7 +262,7 @@ def annotation_to_doc(annotation: Annotation) -> dict:
 
 
 def annotation_from_doc(doc: Any) -> Annotation:
-    return decoder(Annotation)(doc, "annotation")
+    return decode(Annotation, doc, "annotation")
 
 
 # -- filter results -----------------------------------------------------------

@@ -74,19 +74,19 @@ class _WithdrawBody:
 def _post_changes(store: Store, params, query, body):
     if isinstance(body, dict):
         body = {"delta": {"description": ""}, **body}
-    req = documents.decoder(_ProposalBody)(body, "body")
+    req = documents.decode(_ProposalBody, body, "body")
     change = ChangeWorkflow(store).propose(req.author_actor_id, req.artifact_id, req.batch, req.delta)
     return 201, documents.change_to_doc(change)
 
 
 def _post_decision(store: Store, params, query, body):
-    req = documents.decoder(_DecisionBody)(body, "body")
+    req = documents.decode(_DecisionBody, body, "body")
     change = ChangeWorkflow(store).decide(params["change_id"], req.actor_id, req.decision)
     return 200, documents.change_to_doc(change)
 
 
 def _post_withdraw(store: Store, params, query, body):
-    req = documents.decoder(_WithdrawBody)(body, "body")
+    req = documents.decode(_WithdrawBody, body, "body")
     change = ChangeWorkflow(store).withdraw(params["change_id"], req.actor_id)
     return 200, documents.change_to_doc(change)
 

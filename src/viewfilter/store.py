@@ -3,10 +3,10 @@ writers in any number of processes.
 
 Layout under the store root::
 
-    model/        v000001.json ... + CURRENT pointer (exactly one current)
-    actors/       one document per actor
-    viewpoints/   one document per viewpoint
-    policies/     default.policy (canonical policy text)
+    model/        v000001.json ... + CURRENT pointer (exactly one current) + TOKEN
+    actors/       one document per actor + TOKEN + SNAPSHOT
+    viewpoints/   one document per viewpoint + TOKEN + SNAPSHOT
+    policies/     default.policy (canonical policy text) + TOKEN
     changes/      one document per proposal
     annotations/  one document per emitted annotation
     seq           monotone event counter (logical timestamps, change ids)
@@ -36,10 +36,14 @@ token before the data, so a token it has seen never names data older than
 what it then loads. A writer killed between its data and token renames
 leaves readers on the old part until the part's next write. A missing or
 empty token turns that part's cache off until the part's next write.
+
+A cold load of the actors or viewpoints reads one derived file, the part's
+``SNAPSHOT`` (see ``Store._registry``); deleting it is always safe.
 """
 
 from __future__ import annotations
 
+import contextlib
 import fcntl
 import itertools
 import os
@@ -51,7 +55,7 @@ from pathlib import Path
 from . import documents
 from .changes import Annotation, ChangeProposal
 from .engine import Workspace
-from .errors import ConflictError, InvalidInputError, ModelRejectedError, NotFoundError
+from .errors import ConflictError, DomainError, InvalidInputError, ModelRejectedError, NotFoundError
 from .model import PpcoModel, validate_model
 from .policy import Policy, parse_policy, serialize_policy
 from .viewpoints import Actor, Viewpoint, lookup_actor, restitution_list_viewpoint, validate_registry
@@ -135,14 +139,19 @@ class Store:
 
     # -- low-level document I/O ----------------------------------------------
 
-    def _write_text(self, path: Path, text: str, durable: bool = False) -> None:
+    def _write_text(self, path: Path, text: str | bytes, durable: bool = False) -> None:
         tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            if durable:
-                handle.flush()
-                os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        try:
+            with open(tmp, "wb") as handle:
+                handle.write(text.encode() if isinstance(text, str) else text)
+                if durable:
+                    handle.flush()
+                    os.fsync(handle.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):  # the write's own error is the one to report
+                tmp.unlink()
+            raise
         if durable:  # the rename, too, must survive a crash
             fd = os.open(path.parent, os.O_RDONLY)
             try:
@@ -170,17 +179,20 @@ class Store:
         self._write_text(self._dirs[part] / "TOKEN", token)
         return token.encode()
 
-    def _part(self, part: str):
-        """One Workspace part, reloaded only when its token has moved; the
-        stale copy is dropped first, so a Store never holds two of a part."""
+    def _token(self, part: str) -> bytes | None:
         try:
             fd = os.open(self._tokens[part], os.O_RDONLY)
             try:
-                token = os.read(fd, 4096) or None
+                return os.read(fd, 4096) or None
             finally:
                 os.close(fd)
         except OSError:
-            token = None
+            return None
+
+    def _part(self, part: str):
+        """One Workspace part, reloaded only when its token has moved; the
+        stale copy is dropped first, so a Store never holds two of a part."""
+        token = self._token(part)
         cached = self._parts.get(part)
         if cached is not None and cached[0] == token:
             return cached[1]
@@ -189,6 +201,29 @@ class Store:
         if token is not None:
             self._parts[part] = (token, value)
         return value
+
+    def _registry(self, kind: str, from_doc) -> list:
+        """Every actor or viewpoint, sorted by id. ``<kind>/SNAPSHOT`` is the
+        token it was built under, a newline and a JSON list of the documents;
+        it serves only while its tag is the token (read first), else the entity
+        files decide and their texts become the snapshot. A read may so write
+        it, lock-free; a failed write is ignored."""
+        token, snapshot = self._token(kind), self._dirs[kind] / "SNAPSHOT"
+        if token is not None:
+            try:
+                tag, _, body = snapshot.read_bytes().partition(b"\n")
+                if tag == token:
+                    return sorted(map(from_doc, documents.canonical_loads(body.decode())), key=lambda e: e.id)
+            except (OSError, ValueError, TypeError, DomainError):
+                pass  # missing, unreadable or damaged: the per-entity files decide
+        texts = (p.read_text(encoding="utf-8") for p in self._dirs[kind].glob("*.json"))
+        loaded = sorted(((from_doc(documents.canonical_loads(t)), t) for t in texts), key=lambda pair: pair[0].id)
+        if token is not None:
+            try:
+                self._write_text(snapshot, b"".join((token, b"\n[", ",".join(t for _, t in loaded).encode(), b"]")))
+            except OSError:
+                pass  # a read-only store still serves
+        return [entity for entity, _ in loaded]
 
     # -- sequence counter ------------------------------------------------------
 
@@ -291,7 +326,7 @@ class Store:
             return actor
 
     def list_actors(self) -> list[Actor]:
-        return self._read_all("actors", documents.actor_from_doc)
+        return self._registry("actors", documents.actor_from_doc)
 
     def get_actor(self, actor_id: str) -> Actor:
         return lookup_actor(self._part("actors"), _check_id("actor", actor_id))
@@ -328,9 +363,9 @@ class Store:
             return list(new.values())
 
     def list_viewpoints(self, actor_id: str | None = None) -> list[Viewpoint]:
-        """Every registered viewpoint read from disk, or one actor's from the cache, sorted by id."""
+        """Every registered viewpoint, or one actor's from the cache, sorted by id."""
         if actor_id is None:
-            return self._read_all("viewpoints", documents.viewpoint_from_doc)
+            return self._registry("viewpoints", documents.viewpoint_from_doc)
         _check_id("actor", actor_id)
         return restitution_list_viewpoint(self._part("actors"), self._part("viewpoints"), actor_id)
 

@@ -1,5 +1,7 @@
 import copy
 import fcntl
+import io
+import json
 import os
 import subprocess
 import sys
@@ -12,7 +14,7 @@ from _corruptions import CORRUPTIONS
 import viewfilter
 from viewfilter import documents, fixture
 from viewfilter.changes import Annotation, ChangeStatus, ChangeWorkflow
-from viewfilter.engine import filtering_info_artifact
+from viewfilter.engine import Workspace, filtering_info_artifact
 from viewfilter.errors import (
     ConflictError,
     InvalidInputError,
@@ -20,6 +22,12 @@ from viewfilter.errors import (
     NotFoundError,
 )
 from viewfilter.store import Store
+
+
+def _cli_env():
+    """The environment for a ``python -m viewfilter`` child that imports this checkout."""
+    src = str(Path(viewfilter.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 class TestModelVersions:
@@ -330,11 +338,9 @@ class TestConcurrentWriters:
     def test_concurrent_cli_proposals_all_land(self, tmp_path, trial):
         # Eight processes each propose once; every one must get its own change id.
         root = fixture.seed_store(tmp_path / "store").root
-        src = str(Path(viewfilter.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         cmd = [sys.executable, "-m", "viewfilter", "--store", str(root), "change", "propose",
                "--author", "ActorX", "--artifact", "CycloneVessel", "--batch", "Geometry-Form"]
-        procs = [subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) for _ in range(8)]
+        procs = [subprocess.Popen(cmd, env=_cli_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE) for _ in range(8)]
         outputs = [proc.communicate(timeout=60) for proc in procs]
         assert [proc.returncode for proc in procs] == [0] * 8, outputs
         ids = sorted(documents.canonical_loads(out.decode())["id"] for out, _ in outputs)
@@ -359,7 +365,10 @@ _QUALITY_RULE = "\nrule discipline=quality activity=* competence>=1\n  grant Req
 
 def _filters(store):
     """Every actor's audited filter on every artifact, as served bytes."""
-    ws = store.load_workspace()
+    return _workspace_filters(store.load_workspace())
+
+
+def _workspace_filters(ws):
     return {
         (actor, artifact): documents.canonical_dumps(
             documents.filter_result_to_doc(filtering_info_artifact(ws, artifact, actor), include_audit=True)
@@ -581,3 +590,140 @@ class TestWorkspaceCache:
         store.import_model(store.export_model())  # validation decodes the new version once
         assert store.load_model().artifacts_by_id
         assert len(decoded) == 3
+
+
+_REGISTRIES = (("actors", documents.actor_from_doc), ("viewpoints", documents.viewpoint_from_doc))
+
+
+def _per_entity_filters(root):
+    """The filters of a Workspace decoded from the per-entity files alone."""
+    store = Store(root)
+    actors, viewpoints = (
+        {e.id: e for e in (from_doc(json.loads(p.read_text())) for p in (root / kind).glob("*.json"))}
+        for kind, from_doc in _REGISTRIES
+    )
+    return _workspace_filters(Workspace(store.load_model(), actors, viewpoints, store.get_policy()))
+
+
+def _snapshots(root):
+    return {kind: (root / kind / "SNAPSHOT").read_bytes() for kind, _ in _REGISTRIES}
+
+
+def _damaged_entry(data):
+    tag, _, body = data.partition(b"\n")
+    docs = json.loads(body)
+    docs[0]["id"] = ""
+    return tag + b"\n" + json.dumps(docs).encode()
+
+
+def _stale(data):
+    # Tagged with another token and one entity short, so using it would show.
+    docs = json.loads(data.partition(b"\n")[2])
+    return b"1.2.3\n" + json.dumps(docs[1:]).encode()
+
+
+def _cli(root, *argv, stdin=None):
+    return subprocess.run(
+        [sys.executable, "-m", "viewfilter", "--store", str(root), *argv],
+        env=_cli_env(), input=stdin, capture_output=True, text=True, timeout=60,
+    )
+
+
+class TestRegistrySnapshots:
+    """``actors/SNAPSHOT`` and ``viewpoints/SNAPSHOT`` are derived from the
+    per-entity files, which decide whenever a snapshot is not fresh."""
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            None,
+            lambda data: b"",
+            lambda data: data[: len(data) // 2],
+            _stale,
+            _damaged_entry,
+            "write fails",
+        ],
+        ids=["removed", "empty", "cut short", "stale tag", "entry fails to decode", "write fails"],
+    )
+    def test_a_damaged_snapshot_gives_the_per_entity_filters(self, seeded_store, monkeypatch, damage):
+        root = seeded_store.root
+        expected = _per_entity_filters(root)
+        assert _filters(Store(root)) == expected
+        fresh = _snapshots(root)
+        for kind, _ in _REGISTRIES:
+            snapshot = root / kind / "SNAPSHOT"
+            if callable(damage):
+                snapshot.write_bytes(damage(fresh[kind]))
+            else:
+                snapshot.unlink()
+        if damage == "write fails":
+            real = os.replace
+
+            def replace(src, dst):
+                if Path(dst).name == "SNAPSHOT":
+                    raise OSError(30, "Read-only file system")
+                return real(src, dst)
+
+            monkeypatch.setattr(os, "replace", replace)
+        assert _filters(Store(root)) == expected
+        if damage == "write fails":
+            assert not any((root / kind / "SNAPSHOT").exists() for kind, _ in _REGISTRIES)
+        else:
+            assert _snapshots(root) == fresh  # rebuilt from the per-entity files
+        assert list(root.rglob("*.tmp")) == []
+
+    def test_a_fresh_snapshot_is_tagged_with_its_token_and_lists_every_document(self, seeded_store):
+        root = seeded_store.root
+        Store(root).load_workspace()
+        for kind, _ in _REGISTRIES:
+            tag, _, body = (root / kind / "SNAPSHOT").read_bytes().partition(b"\n")
+            assert tag == (root / kind / "TOKEN").read_bytes()
+            texts = [p.read_text() for p in sorted((root / kind).glob("*.json"))]
+            assert json.loads(body) == [json.loads(t) for t in texts]
+
+    def test_a_cold_store_with_fresh_snapshots_opens_no_entity_file(self, seeded_store, monkeypatch):
+        root = seeded_store.root
+        expected = _filters(Store(root))
+        opened = []
+        for module in (io, os):
+            real = module.open
+            monkeypatch.setattr(module, "open", lambda path, *a, real=real, **k: opened.append(Path(path)) or real(path, *a, **k))
+        store = Store(root)
+        assert _filters(store) == expected
+        assert [a.id for a in store.list_actors()] == ["ActorX", "ActorY", "ActorZ"]
+        assert [vp.id for vp in store.list_viewpoints()] == ["VP1", "VP2", "VP3", "VP4"]
+        registry = [p.name for p in opened if p.parent.name in ("actors", "viewpoints")]
+        assert set(registry) == {"TOKEN", "SNAPSHOT"}
+
+    def test_a_registration_in_another_process_reaches_a_cli_filter(self, seeded_store):
+        root = seeded_store.root
+        assert _cli(root, "actor", "add", "-", stdin=json.dumps(_ACTOR_W)).returncode == 0
+        argv = ("filter", "--actor", "ActorW", "--artifact", "DustOutlet", "--audit")
+        before = _cli(root, *argv)
+        assert json.loads(before.stdout)["audit"] == []
+        assert (root / "actors" / "SNAPSHOT").exists()
+        assert _cli(root, "vp", "add", "-", stdin=json.dumps(_VP_W)).returncode == 0
+        after = _cli(root, *argv)
+        assert [a["viewpoint_id"] for a in json.loads(after.stdout)["audit"]] == ["VP9"]
+        assert after.stdout == _per_entity_filters(root)[("ActorW", "DustOutlet")]
+
+    @pytest.mark.parametrize(
+        "kind, name, text, message",
+        [
+            ("actors", "ActorY", "{\n", "invalid JSON: Expecting property name enclosed in double quotes: line 2 column 1 (char 2)"),
+            ("viewpoints", "VP3", None, "viewpoint: missing keys ['importance']"),
+        ],
+    )
+    def test_a_corrupt_entity_file_gives_the_same_error_document(self, seeded_store, kind, name, text, message):
+        root = seeded_store.root
+        path = root / kind / f"{name}.json"
+        if text is None:
+            doc = json.loads(path.read_text())
+            del doc["importance"]
+            text = json.dumps(doc)
+        (root / kind / "SNAPSHOT").unlink(missing_ok=True)
+        path.write_text(text)
+        out = _cli(root, "filter", "--actor", "ActorX", "--artifact", "CycloneVessel")
+        assert out.returncode == 1
+        assert json.loads(out.stdout) == {"error": {"code": "bad_document", "message": message}}
+        assert not (root / kind / "SNAPSHOT").exists()
