@@ -144,13 +144,11 @@ def _run(args) -> int:
 
     elif args.command == "vp":
         if args.subcommand == "add":
-            raw = documents.canonical_loads(_read_input(args.file))
-            if isinstance(raw, dict) and "viewpoints" in raw:
-                docs = raw["viewpoints"]
-            elif isinstance(raw, list):
-                docs = raw
-            else:
-                docs = [raw]
+            docs = documents.canonical_loads(_read_input(args.file))
+            if isinstance(docs, dict) and "viewpoints" in docs:
+                docs = docs["viewpoints"]
+            elif not isinstance(docs, list):
+                docs = [docs]
             added = store.add_viewpoints(docs)
             _emit_doc({"viewpoints": [documents.viewpoint_to_doc(vp) for vp in added]})
         else:

@@ -4,8 +4,8 @@ writers in any number of processes.
 Layout under the store root::
 
     model/        v000001.json ... + CURRENT pointer (exactly one current) + TOKEN
-    actors/       one document per actor + TOKEN + SNAPSHOT
-    viewpoints/   one document per viewpoint + TOKEN + SNAPSHOT
+    actors/       REGISTRY: a token, a newline and a JSON list of the actor documents
+    viewpoints/   REGISTRY: the same for the viewpoints
     policies/     default.policy (canonical policy text) + TOKEN
     changes/      one document per proposal
     annotations/  one document per emitted annotation
@@ -24,21 +24,23 @@ additionally fsyncs the version, ``CURRENT`` and the ``model/`` directory,
 making it the single durable commit point the change workflow relies on.
 Readers always see a complete document.
 
-The Workspace has four parts: model, actors, viewpoints and policy. Each
-part's directory holds a ``TOKEN`` that the part's writers (model imports,
-actor and viewpoint registrations, policy sets) rewrite with a fresh,
-unique value after their data has landed; ``seq``, change and annotation
-writes touch no token, and neither does a plain approval, which copies the
-current version's bytes as the next version. A ``Store`` caches each part
-under its token, so a write, in any process, makes readers reload that part
-alone, and a model import keeps the model it validated. A reader reads a
-token before the data, so a token it has seen never names data older than
-what it then loads. A writer killed between its data and token renames
-leaves readers on the old part until the part's next write. A missing or
-empty token turns that part's cache off until the part's next write.
+The Workspace has four parts: model, actors, viewpoints and policy. A
+``Store`` caches each under a token, the first line of its ``TOKEN`` (model,
+policy) or ``REGISTRY``. Model imports and policy sets rewrite ``TOKEN``
+with a fresh, unique value after their data has landed; a registration's
+one rename of ``REGISTRY`` commits its data and token together. ``seq``,
+change and annotation writes touch no token, and neither does a plain
+approval, which copies the current version's bytes as the next version. A
+write, in any process, so makes readers reload that part alone, and the
+writing Store keeps what it wrote. A reader reads a token before the data,
+so a token it has seen never names data older than what it then loads. A
+writer killed between its data and ``TOKEN`` renames leaves readers on the
+old part until the part's next write. A missing or empty token turns that
+part's cache off until the part's next write.
 
-A cold load of the actors or viewpoints reads one derived file, the part's
-``SNAPSHOT`` (see ``Store._registry``); deleting it is always safe.
+A store written before ``REGISTRY`` existed, with one ``<id>.json`` per
+actor and viewpoint, is read from those files until a registration writes
+the registry's ``REGISTRY`` from their texts plus the batch.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from pathlib import Path
 from . import documents
 from .changes import Annotation, ChangeProposal
 from .engine import Workspace
-from .errors import ConflictError, DomainError, InvalidInputError, ModelRejectedError, NotFoundError
+from .errors import ConflictError, DocumentError, InvalidInputError, ModelRejectedError, NotFoundError
 from .model import PpcoModel, validate_model
 from .policy import Policy, parse_policy, serialize_policy
 from .viewpoints import Actor, Viewpoint, lookup_actor, restitution_list_viewpoint, validate_registry
@@ -73,8 +75,8 @@ def _check_id(entity: str, entity_id: str) -> str:
     return entity_id
 
 
-# Each Workspace part, by the directory holding its data and token, with its
-# uncached loader (looked up on the store at each call).
+# Each Workspace part, by the directory holding its data, with its uncached
+# loader (looked up on the store at each call).
 _PARTS = {
     "model": lambda store: store.load_model(),
     "actors": lambda store: {a.id: a for a in store.list_actors()},
@@ -132,18 +134,18 @@ class Store:
         }
         self.lock = _WriteLock(self.root / "LOCK", self._dirs.values())
         # Token paths as strings: every load reads all four, so each read is a bare os.read.
-        self._tokens = {part: str(self._dirs[part] / "TOKEN") for part in _PARTS}
+        self._tokens = {p: str(self._dirs[p] / ("REGISTRY" if p in ("actors", "viewpoints") else "TOKEN")) for p in _PARTS}
         # part -> (token, value); each entry is replaced whole, so threads
         # never see a token with another token's value.
         self._parts: dict[str, tuple[bytes, object]] = {}
 
     # -- low-level document I/O ----------------------------------------------
 
-    def _write_text(self, path: Path, text: str | bytes, durable: bool = False) -> None:
+    def _write_text(self, path: Path, text: str, durable: bool = False) -> None:
         tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
         try:
             with open(tmp, "wb") as handle:
-                handle.write(text.encode() if isinstance(text, str) else text)
+                handle.write(text.encode())
                 if durable:
                     handle.flush()
                     os.fsync(handle.fileno())
@@ -166,24 +168,20 @@ class Store:
         """Every document of a kind matching ``pattern``, decoded and sorted by id."""
         return sorted((from_doc(self._read_doc(p)) for p in self._dirs[kind].glob(pattern)), key=lambda e: e.id)
 
-    def _save(self, kind: str, entity, to_doc) -> None:
-        """Write one entity as ``<kind>/<id>.json``."""
-        self._write_text(self._dirs[kind] / f"{entity.id}.json", documents.canonical_dumps(to_doc(entity)))
-
     # -- per-part cache ----------------------------------------------------------
 
-    def _bump(self, part: str) -> bytes:
-        """Invalidate every reader's copy of a part; call after its data has
-        landed. Returns the new token."""
+    def _bump(self, part: str, body: str = "") -> bytes:
+        """Write a part's token file, a fresh, unique token and ``body``, which
+        invalidates every reader's copy of the part. Returns the token."""
         token = f"{os.getpid()}.{time.time_ns()}.{next(_token_counter)}"
-        self._write_text(self._dirs[part] / "TOKEN", token)
+        self._write_text(Path(self._tokens[part]), token + body)
         return token.encode()
 
     def _token(self, part: str) -> bytes | None:
         try:
             fd = os.open(self._tokens[part], os.O_RDONLY)
             try:
-                return os.read(fd, 4096) or None
+                return os.read(fd, 4096).partition(b"\n")[0] or None
             finally:
                 os.close(fd)
         except OSError:
@@ -202,28 +200,30 @@ class Store:
             self._parts[part] = (token, value)
         return value
 
+    def _registry_text(self, kind: str) -> str:
+        """The JSON list of a registry's documents as stored: ``REGISTRY`` after
+        its token line or, in a store written before it, the entity files joined."""
+        try:
+            return (self._dirs[kind] / "REGISTRY").read_bytes().partition(b"\n")[2].decode()
+        except FileNotFoundError:
+            return f"[{','.join(p.read_text(encoding='utf-8') for p in sorted(self._dirs[kind].glob('*.json')))}]"
+
     def _registry(self, kind: str, from_doc) -> list:
-        """Every actor or viewpoint, sorted by id. ``<kind>/SNAPSHOT`` is the
-        token it was built under, a newline and a JSON list of the documents;
-        it serves only while its tag is the token (read first), else the entity
-        files decide and their texts become the snapshot. A read may so write
-        it, lock-free; a failed write is ignored."""
-        token, snapshot = self._token(kind), self._dirs[kind] / "SNAPSHOT"
-        if token is not None:
-            try:
-                tag, _, body = snapshot.read_bytes().partition(b"\n")
-                if tag == token:
-                    return sorted(map(from_doc, documents.canonical_loads(body.decode())), key=lambda e: e.id)
-            except (OSError, ValueError, TypeError, DomainError):
-                pass  # missing, unreadable or damaged: the per-entity files decide
-        texts = (p.read_text(encoding="utf-8") for p in self._dirs[kind].glob("*.json"))
-        loaded = sorted(((from_doc(documents.canonical_loads(t)), t) for t in texts), key=lambda pair: pair[0].id)
-        if token is not None:
-            try:
-                self._write_text(snapshot, b"".join((token, b"\n[", ",".join(t for _, t in loaded).encode(), b"]")))
-            except OSError:
-                pass  # a read-only store still serves
-        return [entity for entity, _ in loaded]
+        """Every actor or viewpoint, sorted by id."""
+        docs = documents.canonical_loads(self._registry_text(kind))
+        if not isinstance(docs, list):
+            raise DocumentError(f"{kind}: expected a list")
+        return sorted(map(from_doc, docs), key=lambda e: e.id)
+
+    def _register(self, kind: str, registry: dict, new: dict, to_doc) -> None:
+        """Commit a batch, checked against ``registry`` (the part held under
+        ``lock``), with one rename of ``REGISTRY``: the stored list's bytes plus
+        the batch's documents. This Store keeps both, in id order, under the token."""
+        stored = self._registry_text(kind).strip()[1:-1]
+        texts = [stored] if stored.strip() else []
+        texts += (documents.canonical_dumps(to_doc(entity)) for entity in new.values())
+        token = self._bump(kind, f"\n[{','.join(texts)}]")
+        self._parts[kind] = (token, dict(sorted({**registry, **new}.items())))
 
     # -- sequence counter ------------------------------------------------------
 
@@ -319,10 +319,10 @@ class Store:
         with self.lock:
             if actor.team_id not in self._part("model").teams_by_id:
                 raise InvalidInputError(f"actor {actor.id}: team {actor.team_id} does not resolve")
-            if (self._dirs["actors"] / f"{actor.id}.json").exists():
+            registry = self._part("actors")
+            if actor.id in registry:
                 raise ConflictError(f"actor {actor.id} is already registered")
-            self._save("actors", actor, documents.actor_to_doc)
-            self._bump("actors")
+            self._register("actors", registry, {actor.id: actor}, documents.actor_to_doc)
             return actor
 
     def list_actors(self) -> list[Actor]:
@@ -338,6 +338,8 @@ class Store:
 
         Batching lets mutually referencing viewpoints be added together.
         """
+        if not isinstance(docs, list):
+            raise DocumentError("viewpoints: expected a list")
         new: dict[str, Viewpoint] = {}
         for doc in docs:
             vp = documents.viewpoint_from_doc(doc)
@@ -357,9 +359,7 @@ class Store:
                     "viewpoint registration rejected by validation",
                     violations=[v.to_doc() for v in violations],
                 )
-            for vp in new.values():
-                self._save("viewpoints", vp, documents.viewpoint_to_doc)
-            self._bump("viewpoints")
+            self._register("viewpoints", registry, new, documents.viewpoint_to_doc)
             return list(new.values())
 
     def list_viewpoints(self, actor_id: str | None = None) -> list[Viewpoint]:
@@ -372,10 +372,11 @@ class Store:
     # -- policy ---------------------------------------------------------------------
 
     def set_policy(self, text: str) -> Policy:
+        """Store a policy as canonical text and keep it as this Store's policy part."""
         policy = parse_policy(text)
         with self.lock:
             self._write_text(self._dirs["policies"] / "default.policy", serialize_policy(policy))
-            self._bump("policies")
+            self._parts["policies"] = (self._bump("policies"), policy)
         return policy
 
     def get_policy_text(self) -> str:
@@ -395,8 +396,8 @@ class Store:
 
     def save_change(self, proposal: ChangeProposal) -> None:
         """Write a change; the caller holds ``lock``, as the change workflow does."""
-        _check_id("change", proposal.id)
-        self._save("changes", proposal, documents.change_to_doc)
+        path = self._dirs["changes"] / f"{_check_id('change', proposal.id)}.json"
+        self._write_text(path, documents.canonical_dumps(documents.change_to_doc(proposal)))
 
     def get_change(self, change_id: str) -> ChangeProposal:
         path = self._dirs["changes"] / f"{_check_id('change', change_id)}.json"
@@ -409,8 +410,8 @@ class Store:
 
     def save_annotation(self, annotation: Annotation) -> None:
         """Write an annotation; the caller holds ``lock``, as the change workflow does."""
-        _check_id("annotation", annotation.id)
-        self._save("annotations", annotation, documents.annotation_to_doc)
+        path = self._dirs["annotations"] / f"{_check_id('annotation', annotation.id)}.json"
+        self._write_text(path, documents.canonical_dumps(documents.annotation_to_doc(annotation)))
 
     def list_annotations(self, actor_id: str | None = None) -> list[Annotation]:
         """Every annotation, or one actor's, sorted by id. Files are named

@@ -331,10 +331,18 @@ def test_criterion_7_determinism_and_round_trips(tmp_path, capsys):
         canonical_policy = serialize_policy(parse_policy(fixture.DEFAULT_POLICY_TEXT))
         assert serialize_policy(parse_policy(canonical_policy)) == canonical_policy
 
-        for subdir in ("model", "actors", "viewpoints", "changes", "annotations"):
+        for subdir in ("model", "changes", "annotations"):
             for path in sorted((store.root / subdir).glob("*.json")):
                 doc = documents.canonical_loads(path.read_text(encoding="utf-8"))
                 assert documents.canonical_dumps(doc).encode("utf-8") == path.read_bytes()
+        # Each registry is one file: a token line, then its documents joined by commas.
+        for kind, decode, encode in (
+            ("actors", documents.actor_from_doc, documents.actor_to_doc),
+            ("viewpoints", documents.viewpoint_from_doc, documents.viewpoint_to_doc),
+        ):
+            body = (store.root / kind / "REGISTRY").read_text(encoding="utf-8").partition("\n")[2]
+            texts = [documents.canonical_dumps(encode(decode(doc))) for doc in documents.canonical_loads(body)]
+            assert texts and body == "[" + ",".join(texts) + "]"
 
 
 def test_criterion_8_validation_completeness(tmp_path, capsys):

@@ -163,12 +163,24 @@ class TestRegistryCommands:
         assert [vp["id"] for vp in json.loads(out)["viewpoints"]] == ["VP1", "VP2"]
 
     def test_vp_add_of_an_empty_batch_writes_nothing(self, run, store_root, monkeypatch):
-        token = store_root / "viewpoints" / "TOKEN"
-        before = token.read_bytes()
+        registry = store_root / "viewpoints" / "REGISTRY"
+        before = registry.read_bytes()
         monkeypatch.setattr("sys.stdin", io.StringIO("[]"))
         code, out = run("--store", store_root, "vp", "add", "-")
         assert (code, out) == (0, documents.canonical_dumps({"viewpoints": []}))
-        assert token.read_bytes() == before
+        assert registry.read_bytes() == before
+
+    @pytest.mark.parametrize("batch", ["5", "null", '{"id": "VP9"}', '"VP9"'])
+    def test_vp_add_of_a_batch_that_is_not_a_list_is_a_bad_document(self, run, store_root, monkeypatch, batch):
+        registry = store_root / "viewpoints" / "REGISTRY"
+        before = registry.read_bytes()
+        monkeypatch.setattr("sys.stdin", io.StringIO(f'{{"viewpoints": {batch}}}'))
+        code, out = run("--store", store_root, "vp", "add", "-")
+        assert code == 1
+        assert out == documents.canonical_dumps(
+            {"error": {"code": "bad_document", "message": "viewpoints: expected a list"}}
+        )
+        assert registry.read_bytes() == before
 
     def test_vp_add_rejects_dangling_reference(self, run, store_root, tmp_path):
         doc = {

@@ -13,10 +13,12 @@ import pytest
 from _corruptions import CORRUPTIONS
 import viewfilter
 from viewfilter import documents, fixture
+from viewfilter import store as store_module
 from viewfilter.changes import Annotation, ChangeStatus, ChangeWorkflow
 from viewfilter.engine import Workspace, filtering_info_artifact
 from viewfilter.errors import (
     ConflictError,
+    DocumentError,
     InvalidInputError,
     ModelRejectedError,
     NotFoundError,
@@ -171,7 +173,7 @@ class TestRegistries:
         fresh = {**doc, "id": "VP9"}
         with pytest.raises(ConflictError, match="viewpoint VP9 appears twice in the batch"):
             seeded_store.add_viewpoints([fresh, fresh])
-        assert not (seeded_store.root / "viewpoints" / "VP9.json").exists()
+        assert "VP9" not in {vp.id for vp in Store(seeded_store.root).list_viewpoints()}
 
     def test_registration_judges_only_the_batch(self, seeded_store):
         # A model without the dust outlet orphans VP4, which no operation removes.
@@ -256,19 +258,15 @@ class TestPersistedRoundTrips:
         change = workflow.propose("ActorX", "CycloneVessel", "Geometry-Form", {"description": "d"})
         workflow.decide(change.id, "ActorY", "approve")
 
-        for subdir in ("model", "actors", "viewpoints", "changes", "annotations"):
+        for subdir in ("model", "changes", "annotations"):
             for path in sorted((seeded_store.root / subdir).glob("*.json")):
                 original = path.read_bytes()
                 doc = documents.canonical_loads(path.read_text(encoding="utf-8"))
                 assert documents.canonical_dumps(doc).encode("utf-8") == original
 
         # Parse into domain objects and re-serialize: still byte-identical.
-        for path in (seeded_store.root / "actors").glob("*.json"):
-            actor = documents.actor_from_doc(documents.canonical_loads(path.read_text()))
-            assert documents.canonical_dumps(documents.actor_to_doc(actor)).encode() == path.read_bytes()
-        for path in (seeded_store.root / "viewpoints").glob("*.json"):
-            vp = documents.viewpoint_from_doc(documents.canonical_loads(path.read_text()))
-            assert documents.canonical_dumps(documents.viewpoint_to_doc(vp)).encode() == path.read_bytes()
+        for kind, codecs in _REGISTRIES.items():
+            assert _canonical_registry(seeded_store.root, kind, *codecs) == _registry_body(seeded_store.root, kind)
         for path in (seeded_store.root / "changes").glob("*.json"):
             parsed = documents.change_from_doc(documents.canonical_loads(path.read_text()))
             assert documents.canonical_dumps(documents.change_to_doc(parsed)).encode() == path.read_bytes()
@@ -349,6 +347,22 @@ class TestConcurrentWriters:
         assert sorted(p.stem for p in (root / "changes").glob("*.json")) == ids
         assert len(list((root / "annotations").glob("*.json"))) == 8
 
+    def test_concurrent_cli_registrations_all_land(self, tmp_path):
+        # Each registration rewrites the one actors file; none may be lost.
+        root = fixture.seed_store(tmp_path / "store").root
+        ids = [f"ActorC{n}" for n in range(8)]
+        for actor_id in ids:
+            (tmp_path / actor_id).write_text(json.dumps({**_ACTOR_W, "id": actor_id, "name": actor_id}))
+        cmd = [sys.executable, "-m", "viewfilter", "--store", str(root), "actor", "add"]
+        procs = [
+            subprocess.Popen([*cmd, str(tmp_path / actor_id)], env=_cli_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+            for actor_id in ids
+        ]
+        outputs = [proc.communicate(timeout=60) for proc in procs]
+        assert [proc.returncode for proc in procs] == [0] * 8, outputs
+        listed = json.loads(_cli(root, "actor", "list").stdout)["actors"]
+        assert [a["id"] for a in listed] == [*ids, "ActorX", "ActorY", "ActorZ"]
+
 
 _ACTOR_W = {
     "id": "ActorW", "name": "ActorW", "role": "late joiner",
@@ -360,7 +374,41 @@ _VP_W = {
     "objective": {"focus_label": "late focus", "target_artifact_id": "DustOutlet"},
     "relationships": [], "importance": 3,
 }
+_VP_Y = {**_VP_W, "actor_id": "ActorY"}
 _QUALITY_RULE = "\nrule discipline=quality activity=* competence>=1\n  grant Requirements:1\n"
+_REGISTRIES = {
+    "actors": (documents.actor_from_doc, documents.actor_to_doc),
+    "viewpoints": (documents.viewpoint_from_doc, documents.viewpoint_to_doc),
+}
+
+
+def _registry_body(root, kind):
+    """The JSON list after ``<kind>/REGISTRY``'s token line."""
+    return (root / kind / "REGISTRY").read_text(encoding="utf-8").partition("\n")[2]
+
+
+def _canonical_registry(root, kind, from_doc, to_doc):
+    """``REGISTRY``'s list as it must be stored: each document decoded, encoded
+    again and joined by commas; none may be missing."""
+    docs = json.loads(_registry_body(root, kind))
+    assert docs, f"{kind}/REGISTRY lists nothing"
+    return "[" + ",".join(documents.canonical_dumps(to_doc(from_doc(doc))) for doc in docs) + "]"
+
+
+def _to_legacy(root, snapshot=None):
+    """Rewrite both registries into the layout written before ``REGISTRY``:
+    one ``<id>.json`` per entity, a ``TOKEN`` and, unless ``snapshot`` is
+    None, a ``SNAPSHOT`` holding ``snapshot(token, texts)``."""
+    for kind in _REGISTRIES:
+        registry = root / kind / "REGISTRY"
+        token, _, body = registry.read_text(encoding="utf-8").partition("\n")
+        texts = [documents.canonical_dumps(doc) for doc in json.loads(body)]
+        for text in texts:
+            (root / kind / f"{json.loads(text)['id']}.json").write_text(text, encoding="utf-8")
+        (root / kind / "TOKEN").write_text(token)
+        if snapshot is not None:
+            (root / kind / "SNAPSHOT").write_bytes(snapshot(token.encode(), texts))
+        registry.unlink()
 
 
 def _filters(store):
@@ -399,7 +447,7 @@ _PARTS = ("model", "actors", "viewpoints", "policies")
 
 
 def _tokens(store):
-    return {part: (store.root / part / "TOKEN").read_bytes() for part in _PARTS}
+    return {part: store._token(part) for part in _PARTS}
 
 
 def _parts(ws):
@@ -445,15 +493,19 @@ class TestWorkspaceCache:
 
     @pytest.mark.parametrize("damage", [None, b"", b"\xff\xfe garbled \x00"])
     def test_damaged_generation_file_still_gives_current_filters(self, seeded_store, damage):
-        # Every part token is damaged: removed, emptied or overwritten.
+        # Every part token is damaged: removed, emptied or overwritten (a
+        # registry's token line is emptied where a TOKEN would be removed).
         reader = Store(seeded_store.root)
         before = _filters(reader)
-        for part in _PARTS:
+        for part in ("model", "policies"):
             token = seeded_store.root / part / "TOKEN"
             if damage is None:
                 token.unlink()
             else:
                 token.write_bytes(damage)
+        for kind in _REGISTRIES:
+            registry = seeded_store.root / kind / "REGISTRY"
+            registry.write_bytes((damage or b"") + b"\n" + registry.read_bytes().partition(b"\n")[2])
         # A policy edited behind the store's back shows at once, as with no cache.
         (seeded_store.root / "policies" / "default.policy").write_text(fixture.DEFAULT_POLICY_TEXT + _QUALITY_RULE)
         after = _filters(reader)
@@ -499,11 +551,13 @@ class TestWorkspaceCache:
         assert [a is not b for a, b in zip(old, new)] == [part == moved for part in _PARTS]
 
     def test_a_tokenless_store_caches_each_part_from_its_next_write(self, seeded_store):
+        root = seeded_store.root
+        _to_legacy(root)
         for part in _PARTS:
-            (seeded_store.root / part / "TOKEN").unlink()
-        (seeded_store.root / "generation").write_text("left by an older version")
-        store = Store(seeded_store.root)
-        assert not any((seeded_store.root / part / "TOKEN").exists() for part in _PARTS)
+            (root / part / "TOKEN").unlink()
+        (root / "generation").write_text("left by an older version")
+        store = Store(root)
+        assert not any((root / part / name).exists() for part in _PARTS for name in ("TOKEN", "REGISTRY"))
         writes = [
             ("model", lambda: store.import_model(store.export_model())),
             ("actors", lambda: store.add_actor(_ACTOR_W)),
@@ -578,6 +632,33 @@ class TestWorkspaceCache:
         assert documents.model_to_doc(kept) == store.export_model(version)
         assert _filters(store) == _filters(Store(seeded_store.root))
 
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda store: store.add_actor(_ACTOR_W),
+            lambda store: store.add_viewpoints([_VP_Y]),
+            lambda store: store.set_policy(fixture.DEFAULT_POLICY_TEXT + _QUALITY_RULE),
+        ],
+        ids=["add_actor", "add_viewpoints", "set_policy"],
+    )
+    def test_a_writer_keeps_what_it_wrote(self, seeded_store, monkeypatch, write):
+        writer = Store(seeded_store.root)
+        writer.load_workspace()
+        write(writer)
+        decoded = []
+        for module, name in (
+            (documents, "model_from_doc"), (documents, "actor_from_doc"),
+            (documents, "viewpoint_from_doc"), (store_module, "parse_policy"),
+        ):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda arg, name=name, real=real: decoded.append(name) or real(arg))
+        kept = writer.load_workspace()
+        assert decoded == []
+        fresh = Store(seeded_store.root).load_workspace()
+        assert (kept.actors, kept.viewpoints, kept.policy) == (fresh.actors, fresh.viewpoints, fresh.policy)
+        assert (list(kept.actors), list(kept.viewpoints)) == (list(fresh.actors), list(fresh.viewpoints))
+        assert _workspace_filters(kept) == _workspace_filters(fresh)
+
     def test_model_is_decoded_once_per_version(self, seeded_store, monkeypatch):
         decoded = []
         real = documents.model_from_doc
@@ -592,34 +673,29 @@ class TestWorkspaceCache:
         assert len(decoded) == 3
 
 
-_REGISTRIES = (("actors", documents.actor_from_doc), ("viewpoints", documents.viewpoint_from_doc))
-
-
 def _per_entity_filters(root):
     """The filters of a Workspace decoded from the per-entity files alone."""
     store = Store(root)
     actors, viewpoints = (
         {e.id: e for e in (from_doc(json.loads(p.read_text())) for p in (root / kind).glob("*.json"))}
-        for kind, from_doc in _REGISTRIES
+        for kind, (from_doc, _) in _REGISTRIES.items()
     )
     return _workspace_filters(Workspace(store.load_model(), actors, viewpoints, store.get_policy()))
 
 
-def _snapshots(root):
-    return {kind: (root / kind / "SNAPSHOT").read_bytes() for kind, _ in _REGISTRIES}
+def _snapshot(token, texts):
+    return token + b"\n[" + ",".join(texts).encode() + b"]"
 
 
-def _damaged_entry(data):
-    tag, _, body = data.partition(b"\n")
-    docs = json.loads(body)
+def _damaged_entry(token, texts):
+    docs = [json.loads(t) for t in texts]
     docs[0]["id"] = ""
-    return tag + b"\n" + json.dumps(docs).encode()
+    return token + b"\n" + json.dumps(docs).encode()
 
 
-def _stale(data):
+def _stale(token, texts):
     # Tagged with another token and one entity short, so using it would show.
-    docs = json.loads(data.partition(b"\n")[2])
-    return b"1.2.3\n" + json.dumps(docs[1:]).encode()
+    return _snapshot(b"1.2.3", texts[1:])
 
 
 def _cli(root, *argv, stdin=None):
@@ -629,59 +705,23 @@ def _cli(root, *argv, stdin=None):
     )
 
 
-class TestRegistrySnapshots:
-    """``actors/SNAPSHOT`` and ``viewpoints/SNAPSHOT`` are derived from the
-    per-entity files, which decide whenever a snapshot is not fresh."""
+def _registry_state(store):
+    return store.list_actors(), store.list_viewpoints()
 
-    @pytest.mark.parametrize(
-        "damage",
-        [
-            None,
-            lambda data: b"",
-            lambda data: data[: len(data) // 2],
-            _stale,
-            _damaged_entry,
-            "write fails",
-        ],
-        ids=["removed", "empty", "cut short", "stale tag", "entry fails to decode", "write fails"],
-    )
-    def test_a_damaged_snapshot_gives_the_per_entity_filters(self, seeded_store, monkeypatch, damage):
+
+class TestRegistryFile:
+    """``actors/REGISTRY`` and ``viewpoints/REGISTRY`` each hold a token, a
+    newline and the JSON list of the registry's canonical documents."""
+
+    def test_each_registry_is_one_file_of_canonical_documents(self, seeded_store):
         root = seeded_store.root
-        expected = _per_entity_filters(root)
-        assert _filters(Store(root)) == expected
-        fresh = _snapshots(root)
-        for kind, _ in _REGISTRIES:
-            snapshot = root / kind / "SNAPSHOT"
-            if callable(damage):
-                snapshot.write_bytes(damage(fresh[kind]))
-            else:
-                snapshot.unlink()
-        if damage == "write fails":
-            real = os.replace
+        for kind, codecs in _REGISTRIES.items():
+            assert os.listdir(root / kind) == ["REGISTRY"]
+            assert _canonical_registry(root, kind, *codecs) == _registry_body(root, kind)
+            token = (root / kind / "REGISTRY").read_bytes().partition(b"\n")[0]
+            assert token and token == seeded_store._token(kind)
 
-            def replace(src, dst):
-                if Path(dst).name == "SNAPSHOT":
-                    raise OSError(30, "Read-only file system")
-                return real(src, dst)
-
-            monkeypatch.setattr(os, "replace", replace)
-        assert _filters(Store(root)) == expected
-        if damage == "write fails":
-            assert not any((root / kind / "SNAPSHOT").exists() for kind, _ in _REGISTRIES)
-        else:
-            assert _snapshots(root) == fresh  # rebuilt from the per-entity files
-        assert list(root.rglob("*.tmp")) == []
-
-    def test_a_fresh_snapshot_is_tagged_with_its_token_and_lists_every_document(self, seeded_store):
-        root = seeded_store.root
-        Store(root).load_workspace()
-        for kind, _ in _REGISTRIES:
-            tag, _, body = (root / kind / "SNAPSHOT").read_bytes().partition(b"\n")
-            assert tag == (root / kind / "TOKEN").read_bytes()
-            texts = [p.read_text() for p in sorted((root / kind).glob("*.json"))]
-            assert json.loads(body) == [json.loads(t) for t in texts]
-
-    def test_a_cold_store_with_fresh_snapshots_opens_no_entity_file(self, seeded_store, monkeypatch):
+    def test_a_cold_store_opens_one_file_per_registry(self, seeded_store, monkeypatch):
         root = seeded_store.root
         expected = _filters(Store(root))
         opened = []
@@ -692,8 +732,54 @@ class TestRegistrySnapshots:
         assert _filters(store) == expected
         assert [a.id for a in store.list_actors()] == ["ActorX", "ActorY", "ActorZ"]
         assert [vp.id for vp in store.list_viewpoints()] == ["VP1", "VP2", "VP3", "VP4"]
-        registry = [p.name for p in opened if p.parent.name in ("actors", "viewpoints")]
-        assert set(registry) == {"TOKEN", "SNAPSHOT"}
+        assert {(p.parent.name, p.name) for p in opened if p.parent.name in _REGISTRIES} == {
+            ("actors", "REGISTRY"), ("viewpoints", "REGISTRY"),
+        }
+
+    @pytest.mark.parametrize("layout", ["registry", "legacy"])
+    def test_no_read_path_writes(self, seeded_store, monkeypatch, capsys, layout):
+        from viewfilter.cli import main
+
+        root = seeded_store.root
+        expected = _workspace_filters(fixture.build_workspace())
+        if layout == "legacy":
+            _to_legacy(root, _snapshot)
+        files = sorted(p.relative_to(root) for p in root.rglob("*"))
+
+        def refuse(store, path, *args, **kwargs):
+            raise AssertionError(f"a read wrote {path}")
+
+        monkeypatch.setattr(Store, "_write_text", refuse)
+        assert _filters(Store(root)) == expected
+        assert [a.id for a in Store(root).list_actors()] == ["ActorX", "ActorY", "ActorZ"]
+        assert [vp.id for vp in Store(root).list_viewpoints()] == ["VP1", "VP2", "VP3", "VP4"]
+        assert Store(root).get_actor("ActorY").id == "ActorY"
+        assert main(["--store", str(root), "actor", "annotations", "ActorY"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"annotations": []}
+        assert sorted(p.relative_to(root) for p in root.rglob("*")) == files
+
+    @pytest.mark.parametrize(
+        "snapshot",
+        [None, lambda token, texts: b"", lambda token, texts: _snapshot(token, texts)[:200], _stale, _damaged_entry],
+        ids=["removed", "empty", "cut short", "stale tag", "bad entry"],
+    )
+    def test_a_legacy_store_keeps_its_filters_and_entities(self, seeded_store, snapshot):
+        # Written before REGISTRY: one file per entity, a TOKEN and a SNAPSHOT
+        # that is not fresh, so the per-entity files decided.
+        root = seeded_store.root
+        expected = _filters(Store(root))
+        _to_legacy(root, snapshot)
+        assert _per_entity_filters(root) == expected
+        store = Store(root)
+        assert _filters(store) == expected
+        store.add_actor(_ACTOR_W)
+        store.add_viewpoints([_VP_W])
+        fresh = Store(root)
+        assert [a.id for a in fresh.list_actors()] == ["ActorW", "ActorX", "ActorY", "ActorZ"]
+        assert [vp.id for vp in fresh.list_viewpoints()] == ["VP1", "VP2", "VP3", "VP4", "VP9"]
+        assert _filters(store) == _filters(fresh) != expected
+        for kind, codecs in _REGISTRIES.items():
+            assert _canonical_registry(root, kind, *codecs) == _registry_body(root, kind)
 
     def test_a_registration_in_another_process_reaches_a_cli_filter(self, seeded_store):
         root = seeded_store.root
@@ -701,29 +787,95 @@ class TestRegistrySnapshots:
         argv = ("filter", "--actor", "ActorW", "--artifact", "DustOutlet", "--audit")
         before = _cli(root, *argv)
         assert json.loads(before.stdout)["audit"] == []
-        assert (root / "actors" / "SNAPSHOT").exists()
         assert _cli(root, "vp", "add", "-", stdin=json.dumps(_VP_W)).returncode == 0
         after = _cli(root, *argv)
         assert [a["viewpoint_id"] for a in json.loads(after.stdout)["audit"]] == ["VP9"]
-        assert after.stdout == _per_entity_filters(root)[("ActorW", "DustOutlet")]
+        assert after.stdout == _filters(Store(root))[("ActorW", "DustOutlet")]
+        assert [os.listdir(root / kind) for kind in _REGISTRIES] == [["REGISTRY"], ["REGISTRY"]]
 
     @pytest.mark.parametrize(
-        "kind, name, text, message",
+        "kind, damage, message",
         [
-            ("actors", "ActorY", "{\n", "invalid JSON: Expecting property name enclosed in double quotes: line 2 column 1 (char 2)"),
-            ("viewpoints", "VP3", None, "viewpoint: missing keys ['importance']"),
+            ("actors", lambda body: "[{\n", "invalid JSON: Expecting property name enclosed in double quotes: line 2 column 1 (char 3)"),
+            ("viewpoints", "VP3", "viewpoint: missing keys ['importance']"),
+            ("actors", lambda body: "{}", "actors: expected a list"),
         ],
+        ids=["cut short", "bad entry", "not a list"],
     )
-    def test_a_corrupt_entity_file_gives_the_same_error_document(self, seeded_store, kind, name, text, message):
+    def test_a_corrupt_registry_gives_the_same_error_document(self, seeded_store, kind, damage, message):
         root = seeded_store.root
-        path = root / kind / f"{name}.json"
-        if text is None:
-            doc = json.loads(path.read_text())
-            del doc["importance"]
-            text = json.dumps(doc)
-        (root / kind / "SNAPSHOT").unlink(missing_ok=True)
-        path.write_text(text)
+        registry = root / kind / "REGISTRY"
+        token, _, body = registry.read_text().partition("\n")
+        if callable(damage):
+            body = damage(body)
+        else:
+            docs = json.loads(body)
+            del next(doc for doc in docs if doc["id"] == damage)["importance"]
+            body = json.dumps(docs)
+        registry.write_text(f"{token}\n{body}")
+        damaged = registry.read_bytes()
         out = _cli(root, "filter", "--actor", "ActorX", "--artifact", "CycloneVessel")
         assert out.returncode == 1
         assert json.loads(out.stdout) == {"error": {"code": "bad_document", "message": message}}
-        assert not (root / kind / "SNAPSHOT").exists()
+        # A registration refuses to build on it, and writes nothing.
+        with pytest.raises(DocumentError) as exc:
+            Store(root).add_actor(_ACTOR_W) if kind == "actors" else Store(root).add_viewpoints([_VP_Y])
+        assert exc.value.message == message
+        assert registry.read_bytes() == damaged
+
+
+class _Crash(Exception):
+    """A write that fails at its rename, the commit point of every write."""
+
+
+def _raise(exc):
+    raise exc
+
+
+_REGISTRATIONS = {
+    "add_actor": lambda store: store.add_actor(_ACTOR_W),
+    "add_viewpoints": lambda store: store.add_viewpoints([_VP_Y]),
+}
+
+
+class TestRegistrationCrashes:
+    @pytest.mark.parametrize("layout", ["registry", "legacy"])
+    @pytest.mark.parametrize("name", sorted(_REGISTRATIONS))
+    def test_a_failed_write_changes_nothing_and_the_retry_lands(self, tmp_path, monkeypatch, name, layout):
+        register, real = _REGISTRATIONS[name], Store._write_text
+
+        def seeded(path):
+            root = fixture.seed_store(path).root
+            if layout == "legacy":
+                _to_legacy(root, _snapshot)
+            return root
+
+        counted, writes = Store(seeded(tmp_path / "count")), []
+        monkeypatch.setattr(Store, "_write_text", lambda store, path, *a, **k: writes.append(path) or real(store, path, *a, **k))
+        register(counted)
+        monkeypatch.setattr(Store, "_write_text", real)
+        assert writes
+        for k in range(1, len(writes) + 1):
+            root = seeded(tmp_path / f"fail-{k}")
+            writer = Store(root)
+            writer.load_workspace()
+            before = _registry_state(Store(root))
+            calls = []
+
+            def write(store, path, *args, k=k, **kwargs):
+                calls.append(path)
+                if len(calls) != k:
+                    return real(store, path, *args, **kwargs)
+                with monkeypatch.context() as patch:
+                    patch.setattr(os, "replace", lambda src, dst: _raise(_Crash(f"write {k}: {dst}")))
+                    return real(store, path, *args, **kwargs)
+
+            monkeypatch.setattr(Store, "_write_text", write)
+            with pytest.raises(_Crash):
+                register(writer)
+            monkeypatch.setattr(Store, "_write_text", real)
+            assert _registry_state(Store(root)) == before, f"write {k} of {len(writes)}"
+            assert list(root.rglob("*.tmp")) == []
+            register(writer)  # the retry
+            assert _registry_state(Store(root)) != before
+            assert _filters(writer) == _filters(Store(root))
