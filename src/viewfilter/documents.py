@@ -3,6 +3,16 @@
 Canonical form is UTF-8 JSON with sorted keys, two-space indentation, and a
 trailing newline; all lists are emitted in a deterministic order.
 
+``canonical_dumps`` writes exactly the text of ``json.dumps(doc,
+ensure_ascii=False, allow_nan=False, sort_keys=True, indent=2)`` plus the
+newline, but encodes plain JSON values itself, since the stdlib takes its
+slow pure-Python path whenever it indents. Plain means dicts with string
+keys, lists and tuples, strings, ints, bools, ``None`` and finite floats
+(written by ``float.__repr__``); strings and keys go through the stdlib's
+own C string encoder. Any other value (a non-string key, NaN or infinity, a
+set, a circular or too deeply nested value) is handed to that ``json.dumps``
+call, so its text or its error is the stdlib's.
+
 Decoding is strict and driven by the dataclasses themselves: an object's
 keys are exactly its dataclass's field names, and every key is required.
 Missing or unknown keys and wrong types are rejected with the JSON path of
@@ -27,6 +37,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from collections import abc
 from enum import Enum
 from functools import cache
@@ -43,10 +54,67 @@ from .viewpoints import Actor, CompetenceLevel, Viewpoint
 
 
 def canonical_dumps(doc: Any) -> str:
+    out: list[str] = []
     try:
-        return json.dumps(doc, ensure_ascii=False, allow_nan=False, sort_keys=True, indent=2) + "\n"
-    except (TypeError, ValueError) as exc:
-        raise DocumentError(f"value is not canonical-JSON serializable: {exc}") from None
+        _encode(doc, out, "\n")
+    except (TypeError, ValueError, RecursionError):
+        # Not plain JSON: the stdlib decides, giving its text or its error.
+        try:
+            return json.dumps(doc, ensure_ascii=False, allow_nan=False, sort_keys=True, indent=2) + "\n"
+        except (TypeError, ValueError) as exc:
+            raise DocumentError(f"value is not canonical-JSON serializable: {exc}") from None
+    out.append("\n")
+    return "".join(out)
+
+
+_encode_str = json.encoder.encode_basestring  # the C function json.dumps itself uses
+_INFINITIES = (math.inf, -math.inf)
+
+
+def _encode(value: Any, out: list[str], indent: str) -> None:
+    """Append the canonical text of ``value`` to ``out``; ``indent`` is the
+    newline and indentation of the line the value starts on. Raises
+    ``TypeError`` or ``ValueError`` for anything but plain JSON values."""
+    if isinstance(value, str):
+        out.append(_encode_str(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        if value != value or value in _INFINITIES:
+            raise ValueError("not a finite float")
+        out.append(float.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        separator = "[" + inner
+        for item in value:
+            out.append(separator)
+            _encode(item, out, inner)
+            separator = "," + inner
+        out.append(indent + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        separator = "{" + inner
+        for key, item in sorted(value.items()):
+            if not isinstance(key, str):
+                raise TypeError("not a string key")
+            out.append(separator + _encode_str(key) + ": ")
+            _encode(item, out, inner)
+            separator = "," + inner
+        out.append(indent + "}")
+    else:
+        raise TypeError("not a JSON value")
 
 
 def canonical_loads(text: str) -> Any:

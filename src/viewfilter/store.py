@@ -69,6 +69,18 @@ _SAFE_ID = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 _token_counter = itertools.count()
 
 
+def _decode(data: bytes, path: Path) -> str:
+    """``data``, read from ``path``, as text; bytes that are not UTF-8 make a bad document."""
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"{path} is not UTF-8: {exc}") from None
+
+
+def _read_text(path: Path) -> str:
+    return _decode(path.read_bytes(), path)
+
+
 def _check_id(entity: str, entity_id: str) -> str:
     if not _SAFE_ID.match(entity_id):
         raise InvalidInputError(f"{entity} id {entity_id!r} is not a safe identifier")
@@ -162,7 +174,7 @@ class Store:
                 os.close(fd)
 
     def _read_doc(self, path: Path):
-        return documents.canonical_loads(path.read_text(encoding="utf-8"))
+        return documents.canonical_loads(_read_text(path))
 
     def _read_all(self, kind: str, from_doc, pattern: str = "*.json") -> list:
         """Every document of a kind matching ``pattern``, decoded and sorted by id."""
@@ -203,10 +215,12 @@ class Store:
     def _registry_text(self, kind: str) -> str:
         """The JSON list of a registry's documents as stored: ``REGISTRY`` after
         its token line or, in a store written before it, the entity files joined."""
+        path = self._dirs[kind] / "REGISTRY"
         try:
-            return (self._dirs[kind] / "REGISTRY").read_bytes().partition(b"\n")[2].decode()
+            data = path.read_bytes()
         except FileNotFoundError:
-            return f"[{','.join(p.read_text(encoding='utf-8') for p in sorted(self._dirs[kind].glob('*.json')))}]"
+            return f"[{','.join(map(_read_text, sorted(self._dirs[kind].glob('*.json'))))}]"
+        return _decode(data.partition(b"\n")[2], path)
 
     def _registry(self, kind: str, from_doc) -> list:
         """Every actor or viewpoint, sorted by id."""
@@ -231,7 +245,7 @@ class Store:
         """Allocate the next logical event number (persisted, monotone)."""
         with self.lock:
             seq_path = self.root / "seq"
-            current = int(seq_path.read_text()) if seq_path.exists() else 0
+            current = int(_read_text(seq_path)) if seq_path.exists() else 0
             self._write_text(seq_path, str(current + 1))
             return current + 1
 
@@ -302,7 +316,7 @@ class Store:
         The content is unchanged, so nothing is decoded or validated and no
         token moves."""
         with self.lock:
-            return self._publish(self._version_file(None).read_text(encoding="utf-8"))
+            return self._publish(_read_text(self._version_file(None)))
 
     def export_model(self, version: int | None = None) -> dict:
         return self._read_doc(self._version_file(version))
@@ -383,7 +397,7 @@ class Store:
         path = self._dirs["policies"] / "default.policy"
         if not path.exists():
             raise NotFoundError("no policy has been set")
-        return path.read_text(encoding="utf-8")
+        return _read_text(path)
 
     def get_policy(self) -> Policy:
         """The stored policy, or the empty one when none has been set."""

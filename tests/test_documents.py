@@ -1,6 +1,10 @@
 import copy
+import enum
+import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from viewfilter import documents, fixture
 from viewfilter.changes import ChangeWorkflow
@@ -23,6 +27,73 @@ class TestCanonicalText:
     def test_invalid_json_text_rejected(self):
         with pytest.raises(DocumentError):
             documents.canonical_loads("{not json")
+
+
+def _stdlib_text(value):
+    return json.dumps(value, ensure_ascii=False, allow_nan=False, sort_keys=True, indent=2) + "\n"
+
+
+# Strings weighted toward what an encoder must escape: quotes, backslashes,
+# control characters, and non-ASCII that stays unescaped.
+_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028\u00e9\U0001f600'), st.characters()), max_size=8)
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**100), max_value=2**100)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | _TEXT,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(_TEXT, children, max_size=4),
+    max_leaves=30,
+)
+
+
+class _Kind(str, enum.Enum):
+    PLAIN = "plain"
+    QUOTED = 'qu"oted'
+
+
+class TestCanonicalEncoder:
+    """``canonical_dumps`` writes exactly what the stdlib's ``json.dumps`` call would."""
+
+    @given(value=_JSON)
+    @settings(max_examples=300)
+    def test_any_json_value_matches_the_stdlib(self, value):
+        assert documents.canonical_dumps(value) == _stdlib_text(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {_Kind.QUOTED: [_Kind.PLAIN], "a": _Kind.QUOTED},
+            ("x", (1, 2.5), ()),
+            {1: "int key", 2: []},
+            {False: "f", 2.5: "x", 3: []},
+            {"id": "x", "empty": {}, "nothing": [], "deep": {"delta": [True, False, None, -0.0, 1e300]}},
+        ],
+        ids=["str-enum", "tuple", "int-key", "bool-and-float-keys", "mixed"],
+    )
+    def test_values_beyond_plain_json_match_the_stdlib(self, value):
+        assert documents.canonical_dumps(value) == _stdlib_text(value)
+
+    def test_a_delta_nested_200_deep(self):
+        delta = "leaf"
+        for depth in range(200):
+            delta = {"child": delta} if depth % 2 else [delta, depth]
+        assert documents.canonical_dumps({"delta": delta}) == _stdlib_text({"delta": delta})
+
+    @pytest.mark.parametrize(
+        "value",
+        [float("nan"), float("inf"), -float("inf"), {1, 2}, {"a": 1, 2: "b"}],
+        ids=["nan", "inf", "-inf", "set", "mixed-keys"],
+    )
+    def test_non_json_values_are_refused(self, value):
+        with pytest.raises(DocumentError, match="not canonical-JSON serializable"):
+            documents.canonical_dumps({"delta": [value]})
+
+    def test_a_circular_value_is_refused(self):
+        loop = []
+        loop.append(loop)
+        with pytest.raises(DocumentError, match="Circular reference detected"):
+            documents.canonical_dumps(loop)
 
 
 class TestStrictParsing:

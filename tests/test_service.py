@@ -1,8 +1,11 @@
+import contextlib
 import json
 import os
+import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -13,9 +16,10 @@ import pytest
 import viewfilter
 from _corruptions import CORRUPTIONS
 from _oracles import MERGED_TABLE
-from viewfilter import documents, fixture
+from viewfilter import documents, fixture, service as service_module
 from viewfilter.cli import main
 from viewfilter.engine import filtering_info_artifact
+from viewfilter.service import create_server
 from viewfilter.store import Store
 
 
@@ -396,40 +400,44 @@ class TestCliParity:
         assert cli_bytes("actor", "annotations", "ActorY") == annotations
 
 
-class TestServedCache:
-    """A ``serve`` child keeps its Workspace; CLI writers in other processes invalidate it."""
+@pytest.fixture()
+def served(seeded_store):
+    """A ``viewfilter serve`` child on the seeded store, once it answers:
+    its base URL, the store root, a CLI runner on that root, and the process."""
+    src = str(Path(viewfilter.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    cmd = [sys.executable, "-m", "viewfilter", "--store", str(seeded_store.root)]
+    proc = subprocess.Popen([*cmd, "serve", "--port", str(port)], env=env, stdout=subprocess.DEVNULL)
+    base = f"http://127.0.0.1:{port}"
+    try:
+        deadline = time.monotonic() + 30
+        while True:
+            assert proc.poll() is None, "serve exited"
+            try:
+                request(base, "GET", "/model/current")
+                break
+            except OSError:
+                assert time.monotonic() < deadline, "serve did not answer"
+                time.sleep(0.02)
 
-    @pytest.fixture()
-    def served(self, seeded_store):
-        src = str(Path(viewfilter.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        with socket.socket() as sock:
-            sock.bind(("127.0.0.1", 0))
-            port = sock.getsockname()[1]
-        cmd = [sys.executable, "-m", "viewfilter", "--store", str(seeded_store.root)]
-        proc = subprocess.Popen([*cmd, "serve", "--port", str(port)], env=env, stdout=subprocess.DEVNULL)
-        base = f"http://127.0.0.1:{port}"
-        try:
-            deadline = time.monotonic() + 30
-            while True:
-                assert proc.poll() is None, "serve exited"
-                try:
-                    request(base, "GET", "/model/current")
-                    break
-                except OSError:
-                    assert time.monotonic() < deadline, "serve did not answer"
-                    time.sleep(0.02)
+        def cli(*argv):
+            subprocess.run([*cmd, *map(str, argv)], env=env, check=True, capture_output=True, timeout=60)
 
-            def cli(*argv):
-                subprocess.run([*cmd, *map(str, argv)], env=env, check=True, capture_output=True, timeout=60)
-
-            yield base, seeded_store.root, cli
-        finally:
+        yield base, seeded_store.root, cli, proc
+    finally:
+        if proc.poll() is None:
             proc.terminate()
             proc.wait(timeout=10)
 
+
+class TestServedCache:
+    """A ``serve`` child keeps its Workspace; CLI writers in other processes invalidate it."""
+
     def test_cli_writes_reach_a_running_server(self, served, tmp_path):
-        base, root, cli = served
+        base, root, cli, _ = served
         paths = [f"/artifacts/{artifact}/filter?actor=ActorZ" for artifact in ("DustOutlet", "CycloneVessel")]
 
         def served_filters():
@@ -463,3 +471,114 @@ class TestServedCache:
         after_vp = served_filters()
         assert after_vp[1] != after_policy[1]
         assert after_vp == fresh_filters()
+
+
+@contextlib.contextmanager
+def _serving(store):
+    """A server on ``store`` serving in a thread; shut down and closed on exit."""
+    server = create_server(store)
+    thread = threading.Thread(target=server.serve_forever)
+    thread.start()
+    host, port = server.server_address[:2]
+    try:
+        yield f"http://{host}:{port}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+
+
+class TestWorkerPool:
+    """A fixed pool of workers, one at a time in ``accept()``."""
+
+    FILTER = "/artifacts/CycloneVessel/filter?actor=ActorX"
+
+    def _filter_bytes(self, store):
+        result = filtering_info_artifact(Store(store.root).load_workspace(), "CycloneVessel", "ActorX")
+        return documents.canonical_dumps(documents.filter_result_to_doc(result, include_audit=True)).encode("utf-8")
+
+    def test_concurrent_clients_each_get_the_document(self, seeded_store):
+        expected = self._filter_bytes(seeded_store)
+        clients = 12
+        before = threading.active_count()
+        start = threading.Barrier(clients)
+        replies, counts = [], []
+
+        def client():
+            start.wait(timeout=30)
+            for _ in range(3):
+                replies.append(request(base, "GET", self.FILTER))
+                counts.append(threading.active_count())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, so the lead changes hands mid-request
+        try:
+            with _serving(seeded_store) as base:
+                threads = [threading.Thread(target=client) for _ in range(clients)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert replies == [(200, expected)] * (3 * clients)
+        # Clients, the serving thread and the workers: no thread per connection.
+        assert max(counts) <= before + clients + 1 + service_module.WORKERS
+
+    def test_one_client_at_a_time_is_served_by_few_workers(self, seeded_store, monkeypatch):
+        # The idle worker handed the lead is the most recently idle one, so
+        # sequential requests keep to two or three threads; workers taking
+        # turns would each have served five of these forty.
+        names = []
+        finish = service_module.Server.finish_request
+
+        def recording(server, request, client_address):
+            names.append(threading.current_thread().name)
+            finish(server, request, client_address)
+
+        monkeypatch.setattr(service_module.Server, "finish_request", recording)
+        with _serving(seeded_store) as base:
+            for _ in range(40):
+                assert request(base, "GET", self.FILTER)[0] == 200
+        assert len(names) == 40
+        assert len(set(names)) < service_module.WORKERS, names
+
+    def test_a_silent_connection_does_not_delay_another_client(self, seeded_store):
+        with _serving(seeded_store) as base:
+            host, port = base.removeprefix("http://").split(":")
+            with socket.create_connection((host, int(port)), timeout=10):
+                started = time.monotonic()
+                status, _ = request(base, "GET", "/model/current")
+                assert status == 200
+                assert time.monotonic() - started < 1
+
+    def test_a_silent_connection_is_closed_after_the_idle_timeout(self, seeded_store, monkeypatch):
+        monkeypatch.setattr(service_module, "IDLE_TIMEOUT", 0.2)
+        with _serving(seeded_store) as base:
+            host, port = base.removeprefix("http://").split(":")
+            with socket.create_connection((host, int(port)), timeout=10) as silent:
+                started = time.monotonic()
+                assert silent.recv(1) == b""  # the server closed it, with no reply
+                assert time.monotonic() - started < 5
+            assert request(base, "GET", "/model/current")[0] == 200
+
+    def test_a_body_cut_short_gets_invalid_input_after_the_idle_timeout(self, seeded_store, monkeypatch):
+        monkeypatch.setattr(service_module, "IDLE_TIMEOUT", 0.2)
+        with _serving(seeded_store) as base:
+            status, _, body = raw_exchange(base, b"POST /changes HTTP/1.1\r\nContent-Length: 10\r\n\r\n{}")
+        assert status == 422
+        assert json.loads(body)["error"] == {"code": "invalid_input", "message": "request body did not arrive within 0.2 s"}
+
+    def test_shutdown_and_close_end_every_thread(self, seeded_store):
+        before = threading.active_count()
+        with _serving(seeded_store) as base:
+            assert request(base, "GET", self.FILTER)[0] == 200
+            assert threading.active_count() == before + 1 + service_module.WORKERS
+        assert threading.active_count() == before
+
+    def test_a_served_child_exits_on_sigint(self, served):
+        proc = served[-1]
+        proc.send_signal(signal.SIGINT)
+        assert proc.wait(timeout=5) == 0

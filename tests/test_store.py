@@ -15,6 +15,7 @@ import viewfilter
 from viewfilter import documents, fixture
 from viewfilter import store as store_module
 from viewfilter.changes import Annotation, ChangeStatus, ChangeWorkflow
+from viewfilter.cli import main as cli_main
 from viewfilter.engine import Workspace, filtering_info_artifact
 from viewfilter.errors import (
     ConflictError,
@@ -822,6 +823,41 @@ class TestRegistryFile:
             Store(root).add_actor(_ACTOR_W) if kind == "actors" else Store(root).add_viewpoints([_VP_Y])
         assert exc.value.message == message
         assert registry.read_bytes() == damaged
+
+
+class TestNonUtf8Files:
+    """A stored file that is not UTF-8 is a ``bad_document`` naming the file, never a traceback."""
+
+    @staticmethod
+    def _spoil(path):
+        data = path.read_bytes()
+        cut = data.index(b'"id"')  # inside the JSON, after any token line
+        path.write_bytes(data[:cut] + b"\xff" + data[cut + 1:])
+
+    @staticmethod
+    def _cli_error(capsys, *argv):
+        code = cli_main([str(arg) for arg in argv])
+        assert code == 1
+        return json.loads(capsys.readouterr().out)["error"]
+
+    @pytest.mark.parametrize("kind", ["actors", "viewpoints"])
+    def test_a_registry(self, seeded_store, capsys, kind):
+        registry = seeded_store.root / kind / "REGISTRY"
+        self._spoil(registry)
+        error = self._cli_error(capsys, "--store", seeded_store.root, "filter", "--actor", "ActorX", "--artifact", "CycloneVessel")
+        assert error["code"] == "bad_document"
+        assert error["message"].startswith(f"{registry} is not UTF-8: ")
+        assert capsys.readouterr().err == ""
+
+    def test_a_change_file(self, seeded_store, capsys):
+        change = ChangeWorkflow(seeded_store).propose("ActorX", "CycloneVessel", "Geometry-Form", {"description": "d"})
+        path = seeded_store.root / "changes" / f"{change.id}.json"
+        self._spoil(path)
+        error = self._cli_error(capsys, "--store", seeded_store.root, "change", "show", change.id)
+        assert error["code"] == "bad_document"
+        assert error["message"].startswith(f"{path} is not UTF-8: ")
+        with pytest.raises(DocumentError, match="is not UTF-8"):
+            Store(seeded_store.root).list_changes()
 
 
 class _Crash(Exception):
