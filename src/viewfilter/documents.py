@@ -122,6 +122,8 @@ def canonical_loads(text: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise DocumentError("invalid JSON: nested too deeply") from None
 
 
 # Fields holding free text, the only strings that may be empty. Every other

@@ -6,7 +6,9 @@ conflict or invalid-state, 422 validation failure), and any other exception
 is answered with a 500 ``internal`` error document. Requests the stdlib
 refuses itself (a garbled request line, an oversized URI, an unsupported
 method) keep its status and get an error document too. Path parameters are
-percent-decoded after the route has matched.
+percent-decoded after the route has matched. A request body may hold at most
+``MAX_BODY`` bytes; a larger ``Content-Length`` is refused before any of the
+body is read.
 
 Connections are served by a fixed pool of ``WORKERS`` threads, and no
 thread is started per connection. One worker at a time waits in
@@ -42,6 +44,7 @@ from .store import Store
 
 WORKERS = 8  # threads serving connections
 IDLE_TIMEOUT = 10.0  # seconds a connection may stay silent before it is closed
+MAX_BODY = 16 * 1024 * 1024  # bytes a request body may hold, far above a scaled model (about 130 KB)
 _M_ARENA_MAX = -8  # glibc's mallopt parameter for the number of malloc arenas
 
 
@@ -163,6 +166,8 @@ def make_handler(store: Store):
                 length = -1
             if length < 0:
                 raise InvalidInputError(f"Content-Length must be a non-negative integer, got {header!r}")
+            if length > MAX_BODY:
+                raise InvalidInputError(f"Content-Length must be at most {MAX_BODY}, got {header!r}")
             try:
                 raw = self.rfile.read(length).decode("utf-8")
             except UnicodeDecodeError as exc:

@@ -3,10 +3,10 @@ writers in any number of processes.
 
 Layout under the store root::
 
-    model/        v000001.json ... + CURRENT pointer (exactly one current) + TOKEN
+    model/        v000001.json ... + CURRENT: a token and the current version
     actors/       REGISTRY: a token, a newline and a JSON list of the actor documents
     viewpoints/   REGISTRY: the same for the viewpoints
-    policies/     default.policy (canonical policy text) + TOKEN
+    policies/     default.policy (canonical policy text)
     changes/      one document per proposal
     annotations/  one document per emitted annotation
     seq           monotone event counter (logical timestamps, change ids)
@@ -24,34 +24,34 @@ additionally fsyncs the version, ``CURRENT`` and the ``model/`` directory,
 making it the single durable commit point the change workflow relies on.
 Readers always see a complete document.
 
-The Workspace has four parts: model, actors, viewpoints and policy. A
-``Store`` caches each under a token, the first line of its ``TOKEN`` (model,
-policy) or ``REGISTRY``. Model imports and policy sets rewrite ``TOKEN``
-with a fresh, unique value after their data has landed; a registration's
-one rename of ``REGISTRY`` commits its data and token together. ``seq``,
-change and annotation writes touch no token, and neither does a plain
-approval, which copies the current version's bytes as the next version. A
-write, in any process, so makes readers reload that part alone, and the
-writing Store keeps what it wrote. A reader reads a token before the data,
-so a token it has seen never names data older than what it then loads. A
-writer killed between its data and ``TOKEN`` renames leaves readers on the
-old part until the part's next write. A missing or empty token turns that
-part's cache off until the part's next write.
+The Workspace has four parts: model, actors, viewpoints and policy. One
+rename commits each part, and a ``Store`` caches each part under a key read
+from the file so renamed: ``CURRENT``'s token, ``REGISTRY``'s first line, or
+the text of ``default.policy`` itself. A model import and a registration
+write a fresh, random token; a plain approval, which copies the current
+version's bytes as the next version, copies the current token too. ``seq``,
+change and annotation writes move no key. A write, in any process, so makes
+readers reload that part alone, and the writing Store keeps what it wrote.
+A reader reads a token before the data, so a token it has seen never names
+data older than what it then loads. The policy is parsed from its key: a
+text, unlike a token, can come back (A, B, then A again), so a policy read
+apart from its key could be cached under the wrong text. A missing or empty
+registry token turns that registry's cache off until its next registration.
 
-A store written before ``REGISTRY`` existed, with one ``<id>.json`` per
-actor and viewpoint, is read from those files until a registration writes
-the registry's ``REGISTRY`` from their texts plus the batch.
+A ``CURRENT`` written before tokens existed is keyed by its version, and
+``TOKEN`` files of that time are ignored. A store written before
+``REGISTRY`` existed, with one ``<id>.json`` per actor and viewpoint, is
+read from those files until a registration writes the registry's
+``REGISTRY`` from their texts plus the batch.
 """
 
 from __future__ import annotations
 
 import contextlib
 import fcntl
-import itertools
 import os
 import re
 import threading
-import time
 from pathlib import Path
 
 from . import documents
@@ -64,10 +64,6 @@ from .viewpoints import Actor, Viewpoint, lookup_actor, restitution_list_viewpoi
 
 _SAFE_ID = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 
-# Shared by every Store in the process: with the pid and the clock it keeps
-# two tokens written in one process apart even when the clock has not moved.
-_token_counter = itertools.count()
-
 
 def _decode(data: bytes, path: Path) -> str:
     """``data``, read from ``path``, as text; bytes that are not UTF-8 make a bad document."""
@@ -78,7 +74,8 @@ def _decode(data: bytes, path: Path) -> str:
 
 
 def _read_text(path: Path) -> str:
-    return _decode(path.read_bytes(), path)
+    with open(path, "rb", buffering=0) as handle:  # unbuffered: every load reads CURRENT and the policy
+        return _decode(handle.read(), path)
 
 
 def _check_id(entity: str, entity_id: str) -> str:
@@ -87,13 +84,13 @@ def _check_id(entity: str, entity_id: str) -> str:
     return entity_id
 
 
-# Each Workspace part, by the directory holding its data, with its uncached
-# loader (looked up on the store at each call).
+# Each Workspace part, by its directory: the file whose rename commits it, and
+# its uncached loader (looked up on the store at each call), given its key.
 _PARTS = {
-    "model": lambda store: store.load_model(),
-    "actors": lambda store: {a.id: a for a in store.list_actors()},
-    "viewpoints": lambda store: {vp.id: vp for vp in store.list_viewpoints()},
-    "policies": lambda store: store.get_policy(),
+    "model": ("CURRENT", lambda store, key: store.load_model()),
+    "actors": ("REGISTRY", lambda store, key: {a.id: a for a in store.list_actors()}),
+    "viewpoints": ("REGISTRY", lambda store, key: {vp.id: vp for vp in store.list_viewpoints()}),
+    "policies": ("default.policy", lambda store, text: Policy() if text is None else parse_policy(text)),
 }
 
 
@@ -145,11 +142,11 @@ class Store:
             for name in ("model", "actors", "viewpoints", "policies", "changes", "annotations")
         }
         self.lock = _WriteLock(self.root / "LOCK", self._dirs.values())
-        # Token paths as strings: every load reads all four, so each read is a bare os.read.
-        self._tokens = {p: str(self._dirs[p] / ("REGISTRY" if p in ("actors", "viewpoints") else "TOKEN")) for p in _PARTS}
-        # part -> (token, value); each entry is replaced whole, so threads
-        # never see a token with another token's value.
-        self._parts: dict[str, tuple[bytes, object]] = {}
+        # The file whose rename commits each part; every load reads all four.
+        self._commits = {part: self._dirs[part] / name for part, (name, _) in _PARTS.items()}
+        # part -> (key, value); each entry is replaced whole, so threads
+        # never see a key with another key's value.
+        self._parts: dict[str, tuple[object, object]] = {}
 
     # -- low-level document I/O ----------------------------------------------
 
@@ -182,16 +179,15 @@ class Store:
 
     # -- per-part cache ----------------------------------------------------------
 
-    def _bump(self, part: str, body: str = "") -> bytes:
-        """Write a part's token file, a fresh, unique token and ``body``, which
-        invalidates every reader's copy of the part. Returns the token."""
-        token = f"{os.getpid()}.{time.time_ns()}.{next(_token_counter)}"
-        self._write_text(Path(self._tokens[part]), token + body)
-        return token.encode()
-
-    def _token(self, part: str) -> bytes | None:
+    def _token(self, part: str):
+        """The key a part is cached under, from the file whose rename commits it;
+        None, which turns the cache off, while that file or a registry token is missing."""
+        if part == "model":
+            return self._current()[1]
         try:
-            fd = os.open(self._tokens[part], os.O_RDONLY)
+            if part == "policies":
+                return _read_text(self._commits[part])
+            fd = os.open(self._commits[part], os.O_RDONLY)
             try:
                 return os.read(fd, 4096).partition(b"\n")[0] or None
             finally:
@@ -200,14 +196,14 @@ class Store:
             return None
 
     def _part(self, part: str):
-        """One Workspace part, reloaded only when its token has moved; the
+        """One Workspace part, reloaded only when its key has moved; the
         stale copy is dropped first, so a Store never holds two of a part."""
         token = self._token(part)
         cached = self._parts.get(part)
         if cached is not None and cached[0] == token:
             return cached[1]
         self._parts.pop(part, None)
-        value = _PARTS[part](self)
+        value = _PARTS[part][1](self, token)
         if token is not None:
             self._parts[part] = (token, value)
         return value
@@ -215,7 +211,7 @@ class Store:
     def _registry_text(self, kind: str) -> str:
         """The JSON list of a registry's documents as stored: ``REGISTRY`` after
         its token line or, in a store written before it, the entity files joined."""
-        path = self._dirs[kind] / "REGISTRY"
+        path = self._commits[kind]
         try:
             data = path.read_bytes()
         except FileNotFoundError:
@@ -236,8 +232,9 @@ class Store:
         stored = self._registry_text(kind).strip()[1:-1]
         texts = [stored] if stored.strip() else []
         texts += (documents.canonical_dumps(to_doc(entity)) for entity in new.values())
-        token = self._bump(kind, f"\n[{','.join(texts)}]")
-        self._parts[kind] = (token, dict(sorted({**registry, **new}.items())))
+        token = os.urandom(12).hex()  # 96 random bits: fresh, and unique across processes
+        self._write_text(self._commits[kind], f"{token}\n[{','.join(texts)}]")
+        self._parts[kind] = (token.encode(), dict(sorted({**registry, **new}.items())))
 
     # -- sequence counter ------------------------------------------------------
 
@@ -245,9 +242,11 @@ class Store:
         """Allocate the next logical event number (persisted, monotone)."""
         with self.lock:
             seq_path = self.root / "seq"
-            current = int(_read_text(seq_path)) if seq_path.exists() else 0
-            self._write_text(seq_path, str(current + 1))
-            return current + 1
+            text = _read_text(seq_path) if seq_path.exists() else "0"
+            if not (text.isascii() and text.isdigit()):
+                raise DocumentError(f"{seq_path}: expected a non-negative integer, got {text[:40]!r}")
+            self._write_text(seq_path, str(int(text) + 1))
+            return int(text) + 1
 
     def next_change_id(self) -> str:
         return f"chg-{self.next_seq():06d}"
@@ -268,11 +267,23 @@ class Store:
             raise NotFoundError(f"model version {version} does not exist")
         return path
 
+    def _current(self) -> tuple[int, str | None]:
+        """``CURRENT``'s version (0 before any import) and the model's key:
+        its token or, in a ``CURRENT`` written before tokens, its version."""
+        pointer = self._commits["model"]
+        try:
+            doc = self._read_doc(pointer)
+        except FileNotFoundError:
+            return 0, None
+        if isinstance(doc, dict):
+            version = doc.get("version")
+            token = doc.get("token", str(version))
+            if type(version) is int and version > 0 and type(token) is str:
+                return version, token
+        raise DocumentError(f"{pointer}: expected a positive integer version and a string token")
+
     def current_version(self) -> int:
-        pointer = self._dirs["model"] / "CURRENT"
-        if not pointer.exists():
-            return 0
-        return int(self._read_doc(pointer)["version"])
+        return self._current()[0]
 
     def model_versions(self) -> list[int]:
         return sorted(int(p.stem[1:]) for p in self._dirs["model"].glob("v*.json"))
@@ -288,13 +299,13 @@ class Store:
             )
         return model
 
-    def _publish(self, canonical: str) -> int:
-        """Write the next version and point ``CURRENT`` at it; the caller holds ``lock``."""
+    def _publish(self, canonical: str, token: str) -> int:
+        """Write the next version, then ``CURRENT`` under ``token``; the caller holds ``lock``."""
         version = self.current_version() + 1
         self._write_text(self._version_path(version), canonical, durable=True)
         self._write_text(
-            self._dirs["model"] / "CURRENT",
-            documents.canonical_dumps({"version": version}),
+            self._commits["model"],
+            documents.canonical_dumps({"token": token, "version": version}),
             durable=True,
         )
         return version
@@ -306,17 +317,18 @@ class Store:
             # The cached model is stale from here on; free it before decoding another.
             self._parts.pop("model", None)
             model = self.check_importable(doc)
-            version = self._publish(documents.canonical_dumps(documents.model_to_doc(model)))
+            token = os.urandom(12).hex()
+            version = self._publish(documents.canonical_dumps(documents.model_to_doc(model)), token)
             # Its tuples keep the document's order, not the stored one; every reader looks entities up by id.
-            self._parts["model"] = (self._bump("model"), model)
+            self._parts["model"] = (token, model)
             return version
 
     def republish_model(self) -> int:
         """Publish the current version's bytes again as the next version.
-        The content is unchanged, so nothing is decoded or validated and no
-        token moves."""
+        The content is unchanged, so nothing is decoded or validated, and
+        the current token is copied, so no key moves."""
         with self.lock:
-            return self._publish(_read_text(self._version_file(None)))
+            return self._publish(_read_text(self._version_file(None)), self._current()[1])
 
     def export_model(self, version: int | None = None) -> dict:
         return self._read_doc(self._version_file(version))
@@ -388,23 +400,21 @@ class Store:
     def set_policy(self, text: str) -> Policy:
         """Store a policy as canonical text and keep it as this Store's policy part."""
         policy = parse_policy(text)
+        canonical = serialize_policy(policy)
         with self.lock:
-            self._write_text(self._dirs["policies"] / "default.policy", serialize_policy(policy))
-            self._parts["policies"] = (self._bump("policies"), policy)
+            self._write_text(self._commits["policies"], canonical)
+            self._parts["policies"] = (canonical, policy)
         return policy
 
     def get_policy_text(self) -> str:
-        path = self._dirs["policies"] / "default.policy"
-        if not path.exists():
-            raise NotFoundError("no policy has been set")
-        return _read_text(path)
+        try:
+            return _read_text(self._commits["policies"])
+        except FileNotFoundError:
+            raise NotFoundError("no policy has been set") from None
 
     def get_policy(self) -> Policy:
         """The stored policy, or the empty one when none has been set."""
-        try:
-            return parse_policy(self.get_policy_text())
-        except NotFoundError:
-            return Policy()
+        return self._part("policies")
 
     # -- changes and annotations -------------------------------------------------------
 
@@ -446,5 +456,5 @@ class Store:
             model=self._part("model"),
             actors=self._part("actors"),
             viewpoints=self._part("viewpoints"),
-            policy=self._part("policies"),
+            policy=self.get_policy(),
         )

@@ -1,4 +1,5 @@
 import copy
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -219,7 +220,7 @@ class TestStoreBackedWorkflow:
             store.add_actor(documents.actor_to_doc(actor))
         store.add_viewpoints([documents.viewpoint_to_doc(vp) for vp in fixture.example_viewpoints()[:3]])
         store.set_policy(fixture.DEFAULT_POLICY_TEXT)
-        token = (store.root / "model" / "TOKEN").read_bytes()
+        token = json.loads((store.root / "model" / "CURRENT").read_bytes())["token"]
         workflow = ChangeWorkflow(store)
         change = workflow.propose("ActorX", "CycloneVessel", "Geometry-Form", {"description": "d"})
         assert workflow.decide(change.id, "ActorY", "approve").status is ChangeStatus.EFFECTIVE
@@ -227,7 +228,8 @@ class TestStoreBackedWorkflow:
         assert store.model_versions() == [1, 2]
         model = store.root / "model"
         assert (model / "v000002.json").read_bytes() == (model / "v000001.json").read_bytes()
-        assert (model / "TOKEN").read_bytes() == token
+        assert json.loads((model / "CURRENT").read_bytes()) == {"token": token, "version": 2}
+        assert store._token("model") == token
 
     def test_unknown_decision_is_invalid_input(self, seeded_store):
         workflow = ChangeWorkflow(seeded_store)

@@ -95,6 +95,14 @@ class TestModelCommands:
         assert code == 1
         assert json.loads(out)["error"]["code"] == "bad_document"
 
+    @pytest.mark.parametrize("depth", [1_500, 200_000])
+    def test_validate_of_a_deeply_nested_file_is_a_bad_document(self, run, tmp_path, capsys, depth):
+        path = tmp_path / "model.json"
+        path.write_text("[" * depth + "]" * depth, encoding="utf-8")
+        code, out = run("model", "validate", path)
+        assert (code, json.loads(out)) == (1, {"error": {"code": "bad_document", "message": "invalid JSON: nested too deeply"}})
+        assert capsys.readouterr().err == ""
+
     def test_import_reads_stdin(self, run, tmp_path, model_doc, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(model_doc)))
         code, out = run("--store", tmp_path / "store", "model", "import", "-")

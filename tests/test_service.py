@@ -214,8 +214,11 @@ class TestBodyErrors:
         assert json.loads(body)["error"]["code"] == "bad_document"
         assert store.list_changes() == []
 
-    @pytest.mark.parametrize("length", ["abc", "-5", "-1"])
-    def test_bad_content_length_gets_invalid_input(self, service, length):
+    # Lengths above service.MAX_BODY are refused before any of the body is read.
+    @pytest.mark.parametrize(
+        "length", ["abc", "-5", "-1", "1000000000000", "99999999999999999999", str(service_module.MAX_BODY + 1)]
+    )
+    def test_bad_content_length_gets_invalid_input(self, service, capfd, length):
         base, store = service
         status, body = raw_request(base, "POST", "/changes", [f"Content-Length: {length}"])
         assert status == 422
@@ -223,6 +226,17 @@ class TestBodyErrors:
         assert error["code"] == "invalid_input"
         assert repr(length) in error["message"]
         assert store.list_changes() == []
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("depth", [1_500, 200_000])
+    def test_a_deeply_nested_body_gets_bad_document(self, service, capfd, depth):
+        base, store = service
+        body = ("[" * depth + "]" * depth).encode()
+        status, reply = raw_request(base, "POST", "/changes", [f"Content-Length: {len(body)}"], body)
+        assert status == 422
+        assert json.loads(reply) == {"error": {"code": "bad_document", "message": "invalid JSON: nested too deeply"}}
+        assert store.list_changes() == []
+        assert capfd.readouterr().err == ""
 
 
 class TestStdlibErrors:

@@ -444,6 +444,14 @@ def _publish_by_decision(store):
     assert change.status is ChangeStatus.EFFECTIVE
 
 
+def _approve_plainly(store):
+    workflow = ChangeWorkflow(store)
+    change = workflow.propose("ActorX", "CycloneVessel", "Geometry-Form", {"description": "d"})
+    for actor in sorted(change.concerned):
+        change = workflow.decide(change.id, actor, "approve")
+    assert change.status is ChangeStatus.EFFECTIVE
+
+
 _PARTS = ("model", "actors", "viewpoints", "policies")
 
 
@@ -494,42 +502,47 @@ class TestWorkspaceCache:
 
     @pytest.mark.parametrize("damage", [None, b"", b"\xff\xfe garbled \x00"])
     def test_damaged_generation_file_still_gives_current_filters(self, seeded_store, damage):
-        # Every part token is damaged: removed, emptied or overwritten (a
-        # registry's token line is emptied where a TOKEN would be removed).
-        reader = Store(seeded_store.root)
+        # Every token is damaged: CURRENT's is removed, emptied or overwritten,
+        # and each registry's token line is emptied or overwritten.
+        root = seeded_store.root
+        reader = Store(root)
         before = _filters(reader)
-        for part in ("model", "policies"):
-            token = seeded_store.root / part / "TOKEN"
-            if damage is None:
-                token.unlink()
-            else:
-                token.write_bytes(damage)
         for kind in _REGISTRIES:
-            registry = seeded_store.root / kind / "REGISTRY"
+            registry = root / kind / "REGISTRY"
             registry.write_bytes((damage or b"") + b"\n" + registry.read_bytes().partition(b"\n")[2])
-        # A policy edited behind the store's back shows at once, as with no cache.
-        (seeded_store.root / "policies" / "default.policy").write_text(fixture.DEFAULT_POLICY_TEXT + _QUALITY_RULE)
+        # A model and a policy changed behind the store's back, under the
+        # damaged token, show at once: the policy is keyed by its own text.
+        moved = _moved(Store(root), "DustValve", "MountingFrame")
+        (root / "model" / "v000002.json").write_text(documents.canonical_dumps(moved))
+        current = {"version": 2} if damage is None else {"token": damage.decode("latin-1"), "version": 2}
+        (root / "model" / "CURRENT").write_text(json.dumps(current))
+        (root / "policies" / "default.policy").write_text(fixture.DEFAULT_POLICY_TEXT + _QUALITY_RULE)
         after = _filters(reader)
         assert after != before
-        if not damage:
-            first, second = _parts(reader.load_workspace()), _parts(reader.load_workspace())
-            assert not any(a is b for a, b in zip(first, second))
-        assert after == _filters(Store(seeded_store.root))
+        assert reader.load_workspace().model == documents.model_from_doc(moved)
+        # The model and the policy stay cached; a registry with no token does not.
+        first, second = _parts(reader.load_workspace()), _parts(reader.load_workspace())
+        assert [a is b for a, b in zip(first, second)] == [True, bool(damage), bool(damage), True]
+        assert after == _filters(Store(root))
 
     def test_each_writer_moves_only_its_own_token(self, seeded_store):
+        assert list(seeded_store.root.rglob("TOKEN")) == []
         writer = Store(seeded_store.root)
         writes = [
-            ("model", lambda: writer.import_model(writer.export_model())),
-            ("actors", lambda: writer.add_actor(_ACTOR_W)),
-            ("viewpoints", lambda: writer.add_viewpoints([_VP_W])),
-            ("policies", lambda: writer.set_policy(fixture.DEFAULT_POLICY_TEXT)),
-            ("model", lambda: _publish_by_decision(writer)),
+            (["model"], lambda: writer.import_model(writer.export_model())),
+            (["actors"], lambda: writer.add_actor(_ACTOR_W)),
+            (["viewpoints"], lambda: writer.add_viewpoints([_VP_W])),
+            (["policies"], lambda: writer.set_policy(fixture.DEFAULT_POLICY_TEXT + _QUALITY_RULE)),
+            ([], lambda: writer.set_policy(fixture.DEFAULT_POLICY_TEXT + _QUALITY_RULE)),  # the same text
+            (["model"], lambda: _publish_by_decision(writer)),
+            ([], lambda: _approve_plainly(writer)),
         ]
-        for part, write in writes:
+        for parts, write in writes:
             before = _tokens(seeded_store)
             write()
             after = _tokens(seeded_store)
-            assert [p for p in _PARTS if after[p] != before[p]] == [part]
+            assert [p for p in _PARTS if after[p] != before[p]] == parts
+        assert list(seeded_store.root.rglob("TOKEN")) == []
 
     @pytest.mark.parametrize(
         "write, moved",
@@ -552,26 +565,34 @@ class TestWorkspaceCache:
         assert [a is not b for a, b in zip(old, new)] == [part == moved for part in _PARTS]
 
     def test_a_tokenless_store_caches_each_part_from_its_next_write(self, seeded_store):
+        # Written before tokens: per-entity registries, a CURRENT holding only
+        # the version, and the TOKEN files of that time, now ignored.
         root = seeded_store.root
         _to_legacy(root)
-        for part in _PARTS:
-            (root / part / "TOKEN").unlink()
+        (root / "model" / "CURRENT").write_text(json.dumps({"version": 1}))
+        for part in ("model", "policies"):
+            (root / part / "TOKEN").write_text("left by an older version")
         (root / "generation").write_text("left by an older version")
+        stale = {path: path.read_bytes() for path in root.rglob("TOKEN")}
         store = Store(root)
-        assert not any((root / part / name).exists() for part in _PARTS for name in ("TOKEN", "REGISTRY"))
+        assert not any((root / kind / "REGISTRY").exists() for kind in _REGISTRIES)
+        assert store._token("model") == "1"
         writes = [
             ("model", lambda: store.import_model(store.export_model())),
             ("actors", lambda: store.add_actor(_ACTOR_W)),
             ("viewpoints", lambda: store.add_viewpoints([_VP_W])),
             ("policies", lambda: store.set_policy(fixture.DEFAULT_POLICY_TEXT + _QUALITY_RULE)),
         ]
-        written = []
+        # The model is keyed by its version and the policy by its text from the start.
+        written = ["model", "policies"]
         for part, write in [(None, lambda: None), *writes]:
             write()
             written.append(part)
             cached = [a is b for a, b in zip(_parts(store.load_workspace()), _parts(store.load_workspace()))]
             assert cached == [p in written for p in _PARTS], f"after the {part} write"
             assert _filters(store) == _filters(Store(seeded_store.root))
+        assert store._token("model") != "1"
+        assert {path: path.read_bytes() for path in root.rglob("TOKEN")} == stale
 
     def test_a_write_landing_during_a_load_is_seen_by_the_next_load(self, seeded_store, monkeypatch):
         reader, writer = Store(seeded_store.root), Store(seeded_store.root)
@@ -860,6 +881,41 @@ class TestNonUtf8Files:
             Store(seeded_store.root).list_changes()
 
 
+class TestMalformedPointers:
+    """``seq`` and ``model/CURRENT`` that do not decode are a ``bad_document``
+    naming the file, never a traceback."""
+
+    @pytest.mark.parametrize("text", ["abc", "", "-1", "1.5", " 7", "\u0667"])
+    def test_a_seq_that_is_not_a_count(self, seeded_store, capsys, text):
+        seq = seeded_store.root / "seq"
+        seq.write_text(text, encoding="utf-8")
+        argv = ["--store", seeded_store.root, "change", "propose", "--author", "ActorX",
+                "--artifact", "CycloneVessel", "--batch", "Geometry-Form", "--description", "d"]
+        assert cli_main([str(arg) for arg in argv]) == 1
+        captured = capsys.readouterr()
+        error = json.loads(captured.out)["error"]
+        assert error["code"] == "bad_document"
+        assert error["message"].startswith(f"{seq}: ")
+        assert captured.err == ""
+        assert seq.read_text(encoding="utf-8") == text
+        assert list((seeded_store.root / "changes").iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "current",
+        ['{"version": "x"}', '{"version": 0}', '{"version": true}', '{"token": 5, "version": 1}', "{}", "[1]", "1"],
+    )
+    @pytest.mark.parametrize("argv", [("filter", "--actor", "ActorX", "--artifact", "CycloneVessel"), ("model", "export")])
+    def test_a_current_that_is_not_a_pointer(self, seeded_store, capsys, current, argv):
+        pointer = seeded_store.root / "model" / "CURRENT"
+        pointer.write_text(current)
+        assert cli_main(["--store", str(seeded_store.root), *argv]) == 1
+        captured = capsys.readouterr()
+        error = json.loads(captured.out)["error"]
+        assert error["code"] == "bad_document"
+        assert error["message"].startswith(f"{pointer}: ")
+        assert captured.err == ""
+
+
 class _Crash(Exception):
     """A write that fails at its rename, the commit point of every write."""
 
@@ -915,3 +971,52 @@ class TestRegistrationCrashes:
             register(writer)  # the retry
             assert _registry_state(Store(root)) != before
             assert _filters(writer) == _filters(Store(root))
+
+
+# name -> (the write, the part whose key it moves)
+_WORKSPACE_WRITES = {
+    "import_model": (lambda store: store.import_model(_moved(store, "DustValve", "MountingFrame")), "model"),
+    "set_policy": (lambda store: store.set_policy(fixture.DEFAULT_POLICY_TEXT + _QUALITY_RULE), "policies"),
+    "staged publication": (_publish_by_decision, "model"),
+    "plain approval": (_approve_plainly, None),
+}
+
+
+class TestWorkspaceWriteCrashes:
+    @pytest.mark.parametrize("name", list(_WORKSPACE_WRITES))
+    def test_a_failed_write_leaves_warm_stores_current(self, tmp_path, monkeypatch, name):
+        (write_part, moved), real = _WORKSPACE_WRITES[name], Store._write_text
+        root = fixture.seed_store(tmp_path / "count").root
+        moves = []
+
+        def counted(store, path, *args, **kwargs):
+            before = _tokens(Store(root))
+            real(store, path, *args, **kwargs)
+            after = _tokens(Store(root))
+            moves.append([part for part in _PARTS if after[part] != before[part]])
+
+        monkeypatch.setattr(Store, "_write_text", counted)
+        write_part(Store(root))
+        monkeypatch.setattr(Store, "_write_text", real)
+        # One write moves the part's key; a plain approval moves none.
+        assert [m for m in moves if m] == ([[moved]] if moved else [])
+        for k in range(1, len(moves) + 1):
+            root = fixture.seed_store(tmp_path / f"fail-{k}").root
+            reader, writer = Store(root), Store(root)
+            reader.load_workspace()
+            writer.load_workspace()
+            calls = []
+
+            def write(store, path, *args, k=k, **kwargs):
+                calls.append(path)
+                if len(calls) == k:
+                    raise _Crash(f"write {k}: {path}")
+                return real(store, path, *args, **kwargs)
+
+            monkeypatch.setattr(Store, "_write_text", write)
+            with pytest.raises(_Crash):
+                write_part(writer)
+            monkeypatch.setattr(Store, "_write_text", real)
+            for store in (reader, writer):
+                assert _filters(store) == _filters(Store(root)), f"write {k} of {len(moves)}"
+                assert store.load_workspace().model == documents.model_from_doc(store.export_model())
