@@ -11,7 +11,6 @@ model version at the moment a proposal becomes effective.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from enum import Enum
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
@@ -25,6 +24,7 @@ from .errors import (
     PermissionDeniedError,
 )
 from .policy import restitution_list_connexion_level
+from .records import record, replace
 from .viewpoints import filtering_list_vp_artifact, lookup_actor
 
 if TYPE_CHECKING:
@@ -43,7 +43,7 @@ class Decision(str, Enum):
     REJECT = "reject"
 
 
-@dataclass(frozen=True)
+@record
 class ChangeProposal:
     """One pending or resolved modification, with per-actor decisions.
 
@@ -82,7 +82,7 @@ def _settle(concerned: frozenset[str], decisions: Mapping[str, Decision]) -> Cha
     return ChangeStatus.PENDING
 
 
-@dataclass(frozen=True)
+@record
 class Annotation:
     """Record notifying one concerned actor of one proposal; emitted once."""
 

@@ -13,8 +13,9 @@ own C string encoder. Any other value (a non-string key, NaN or infinity, a
 set, a circular or too deeply nested value) is handed to that ``json.dumps``
 call, so its text or its error is the stdlib's.
 
-Decoding is strict and driven by the dataclasses themselves: an object's
-keys are exactly its dataclass's field names, and every key is required.
+Decoding is strict and driven by the records themselves (``records.py``):
+an object's keys are exactly its record's fields, and every key is
+required; each field's type comes from the class's type hints.
 Missing or unknown keys and wrong types are rejected with the JSON path of
 the offending field. Identifier strings must be non-empty; only the
 free-text fields (``name``, ``description``, ``role``, ``focus_label`` and
@@ -22,10 +23,10 @@ free-text fields (``name``, ``description``, ``role``, ``focus_label`` and
 or any string. A competence level is a bare integer. Referential problems
 are left to the validators (violations are data, not parse failures).
 
-Encoding reads the same dataclasses, so each stored entity's schema is
+Encoding reads the same record fields, so each stored entity's schema is
 written once. Enums and competence levels encode as their value, and an
 ``Any`` field (a change's ``delta``) passes through as is, uncopied. A
-frozenset, or a tuple of strings, is sorted. A tuple of dataclasses is
+frozenset, or a tuple of strings, is sorted. A tuple of records is
 sorted by ``id`` when the element type has one, and otherwise by all of its
 fields in declaration order; the sort is stable, so elements with equal keys
 keep their input order. Any other tuple keeps its order. ``Organization`` is
@@ -35,7 +36,6 @@ the sorted team order, and any other matrix is left as it is.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from collections import abc
@@ -50,6 +50,7 @@ from .engine import FilterResult
 from .errors import DocumentError
 from .model import Organization, PpcoModel, Violation
 from .policy import ConnexionLevelList
+from .records import fields, is_record
 from .viewpoints import Actor, CompetenceLevel, Viewpoint
 
 
@@ -151,7 +152,7 @@ def decode(tp: Any, value: Any, path: str) -> Any:
 @cache
 def _decoder(tp: Any, nonempty: bool = True) -> Callable[[Any], Any]:
     """The decoding function for values of type ``tp``, built once per type
-    from the dataclass fields and their type hints; it raises ``_Fault``,
+    from the record fields and their type hints; it raises ``_Fault``,
     which ``decode`` turns into a ``DocumentError``. ``nonempty`` applies to
     strings only."""
     origin, args = get_origin(tp), get_args(tp)
@@ -224,10 +225,8 @@ def _decoder(tp: Any, nonempty: bool = True) -> Callable[[Any], Any]:
         return decode_enum
 
     hints = get_type_hints(tp)
-    fields = tuple(
-        (f.name, _decoder(hints[f.name], f.name not in _FREE_TEXT_FIELDS)) for f in dataclasses.fields(tp)
-    )
-    keys = frozenset(name for name, _ in fields)
+    decoders = tuple((name, _decoder(hints[name], name not in _FREE_TEXT_FIELDS)) for name in fields(tp))
+    keys = frozenset(fields(tp))
 
     def decode_object(value):
         if not isinstance(value, dict):
@@ -239,7 +238,7 @@ def _decoder(tp: Any, nonempty: bool = True) -> Callable[[Any], Any]:
             raise _Fault(f": unknown keys {sorted(set(value) - keys)}")
         values = []
         try:
-            for name, decode_field in fields:
+            for name, decode_field in decoders:
                 values.append(decode_field(value[name]))
         except _Fault as fault:
             raise _Fault(f".{name}{fault}") from None
@@ -262,22 +261,22 @@ def _encoder(tp: Any) -> Callable[[Any], Any]:
 
     if origin in (tuple, frozenset):
         encode_item = _encoder(args[0])
-        if dataclasses.is_dataclass(args[0]):
-            names = [f.name for f in dataclasses.fields(args[0])]
+        if is_record(args[0]):
+            names = fields(args[0])
             key = itemgetter("id") if "id" in names else itemgetter(*names)
             return lambda value: sorted(map(encode_item, value), key=key)
         if origin is frozenset or args[0] is str:
             return lambda value: sorted(map(encode_item, value))
         return lambda value: list(map(encode_item, value))
 
-    if not dataclasses.is_dataclass(tp):
+    if not is_record(tp):
         return lambda value: value
 
     hints = get_type_hints(tp)
-    fields = tuple((f.name, _encoder(hints[f.name])) for f in dataclasses.fields(tp))
+    encoders = tuple((name, _encoder(hints[name])) for name in fields(tp))
 
     def encode_object(value):
-        return {name: encode(getattr(value, name)) for name, encode in fields}
+        return {name: encode(getattr(value, name)) for name, encode in encoders}
 
     if tp is not Organization:
         return encode_object

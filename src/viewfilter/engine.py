@@ -8,7 +8,6 @@ are folded in; the audit trail preserves the competence-classified order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 from .model import PpcoModel
@@ -18,6 +17,7 @@ from .policy import (
     Policy,
     restitution_list_connexion_level,
 )
+from .records import record
 from .viewpoints import (
     Actor,
     Viewpoint,
@@ -27,7 +27,7 @@ from .viewpoints import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class Workspace:
     """Immutable snapshot of everything a filter evaluation reads."""
 
@@ -37,13 +37,13 @@ class Workspace:
     policy: Policy
 
 
-@dataclass(frozen=True)
+@record
 class AuditEntry:
     viewpoint_id: str
     entries: ConnexionLevelList
 
 
-@dataclass(frozen=True)
+@record
 class FilterResult:
     """Merged adequate-information set for one actor on one artifact.
 

@@ -9,12 +9,12 @@ immutable values; every query here is pure and safe for concurrent use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Iterable
 
 from .errors import InvalidInputError, NotFoundError
+from .records import record
 
 
 class ArtifactKind(str, Enum):
@@ -30,7 +30,7 @@ class InteractionClass(str, Enum):
     INFORMATION = "information"
 
 
-@dataclass(frozen=True)
+@record
 class Artifact:
     """One node of the product decomposition tree (root has no parent)."""
 
@@ -41,7 +41,7 @@ class Artifact:
     description: str = ""
 
 
-@dataclass(frozen=True)
+@record
 class Interaction:
     """A classified interaction between two distinct artifacts."""
 
@@ -52,14 +52,14 @@ class Interaction:
     description: str = ""
 
 
-@dataclass(frozen=True)
+@record
 class Task:
     id: str
     activity_id: str
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class Activity:
     id: str
     process_id: str
@@ -68,14 +68,14 @@ class Activity:
     tasks: tuple[Task, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class Process:
     id: str
     name: str
     activities: tuple[Activity, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class TaskFlow:
     """Directed information/data flow between two tasks (self-loops forbidden)."""
 
@@ -84,7 +84,7 @@ class TaskFlow:
     payload_description: str = ""
 
 
-@dataclass(frozen=True)
+@record
 class Team:
     id: str
     name: str
@@ -92,7 +92,7 @@ class Team:
     responsibility_artifact_id: str
 
 
-@dataclass(frozen=True)
+@record
 class Organization:
     """Teams plus a symmetric, zero-diagonal collaboration-frequency matrix.
 
@@ -104,7 +104,7 @@ class Organization:
     collaboration_matrix: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
+@record
 class Violation:
     """One invariant violation, identified by a stable machine-readable code."""
 
@@ -116,7 +116,7 @@ class Violation:
         return {"code": self.code, "subject": self.subject, "detail": self.detail}
 
 
-@dataclass(frozen=True)
+@record
 class PpcoModel:
     """Immutable snapshot of the whole product/process/organization model."""
 

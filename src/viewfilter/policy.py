@@ -20,10 +20,10 @@ name; ``parse`` and ``serialize`` round-trip losslessly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from .errors import InvalidInputError, PolicyParseError, PolicySemanticError
+from .records import record
 from .viewpoints import Actor, CompetenceLevel, Viewpoint, competence_for
 
 _TAG = r"[A-Za-z0-9_.-]+"
@@ -52,7 +52,7 @@ def _check_batch_level(batch: str, level: int) -> None:
         raise InvalidInputError(f"batch level must be an integer >= 1, got {level!r}")
 
 
-@dataclass(frozen=True)
+@record
 class Grant:
     """One granted batch at one access level (level >= 1)."""
 
@@ -63,7 +63,7 @@ class Grant:
         _check_batch_level(self.batch, self.level)
 
 
-@dataclass(frozen=True)
+@record
 class PolicyRule:
     """Grants awarded to viewpoints matching (discipline, activity, competence).
 
@@ -93,12 +93,12 @@ class PolicyRule:
         )
 
 
-@dataclass(frozen=True)
+@record
 class Policy:
     rules: tuple[PolicyRule, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class ConnexionEntry:
     """One batch with its resolved access level and contributing viewpoints."""
 
@@ -111,7 +111,7 @@ class ConnexionEntry:
         object.__setattr__(self, "provenance", frozenset(self.provenance))
 
 
-@dataclass(frozen=True)
+@record
 class ConnexionLevelList:
     """Leveled batch entries, sorted by batch name, each batch at most once."""
 

@@ -29,7 +29,6 @@ import ctypes
 import re
 import socket
 import threading
-from dataclasses import dataclass
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
@@ -40,6 +39,7 @@ from . import documents
 from .changes import ChangeWorkflow
 from .engine import filtering_info_artifact
 from .errors import DocumentError, InternalError, InvalidInputError, NotFoundError
+from .records import record
 from .store import Store
 
 WORKERS = 8  # threads serving connections
@@ -74,7 +74,7 @@ def _get_filter(store: Store, params, query, body):
     return 200, documents.filter_result_to_doc(result, include_audit=True)
 
 
-@dataclass(frozen=True)
+@record
 class _ProposalBody:
     author_actor_id: str
     artifact_id: str
@@ -82,13 +82,13 @@ class _ProposalBody:
     delta: Any
 
 
-@dataclass(frozen=True)
+@record
 class _DecisionBody:
     actor_id: str
     decision: str
 
 
-@dataclass(frozen=True)
+@record
 class _WithdrawBody:
     actor_id: str
 
@@ -160,12 +160,10 @@ def make_handler(store: Store):
 
         def _read_body(self):
             header = self.headers.get("Content-Length", "0")
-            try:
-                length = int(header)
-            except ValueError:
-                length = -1
-            if length < 0:
+            digits = header.strip(" \t")
+            if not (digits.isascii() and digits.isdigit()):  # RFC 9110: 1*DIGIT, so no sign, "_" or other digits
                 raise InvalidInputError(f"Content-Length must be a non-negative integer, got {header!r}")
+            length = int(digits)
             if length > MAX_BODY:
                 raise InvalidInputError(f"Content-Length must be at most {MAX_BODY}, got {header!r}")
             try:

@@ -8,12 +8,12 @@ records are kept for audit only; they never change filter output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
 from .errors import InvalidInputError, NotFoundError
 from .model import PpcoModel, Violation, ancestors
+from .records import record
 
 
 class Situation(str, Enum):
@@ -27,7 +27,7 @@ class RelationshipKind(str, Enum):
     CONFLICTS = "conflicts"
 
 
-@dataclass(frozen=True, order=True)
+@record(order=True)
 class CompetenceLevel:
     """Ordinal expertise in one discipline, from 1 (novice) to 5 (expert)."""
 
@@ -38,7 +38,7 @@ class CompetenceLevel:
             raise InvalidInputError(f"competence level must be an integer in [1, 5], got {self.value!r}")
 
 
-@dataclass(frozen=True)
+@record
 class Actor:
     id: str
     name: str
@@ -48,25 +48,25 @@ class Actor:
     competences: Mapping[str, CompetenceLevel]
 
 
-@dataclass(frozen=True)
+@record
 class ViewpointDomain:
     activity_id: str
     discipline: str
 
 
-@dataclass(frozen=True)
+@record
 class ViewpointObjective:
     focus_label: str
     target_artifact_id: str
 
 
-@dataclass(frozen=True)
+@record
 class ViewpointRelationship:
     other_viewpoint_id: str
     kind: RelationshipKind
 
 
-@dataclass(frozen=True)
+@record
 class Viewpoint:
     """One actor focus: a lens on a target artifact within an activity.
 

@@ -15,8 +15,8 @@ MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if not p.stem.startswith("
 
 
 def _import_alone(module):
-    """The package modules loaded by importing one module in a fresh interpreter."""
-    code = f"import sys, viewfilter.{module}; print(*sorted(m for m in sys.modules if m.startswith('viewfilter.')))"
+    """The modules loaded by importing one package module in a fresh interpreter."""
+    code = f"import sys, viewfilter.{module}; print(*sorted(sys.modules))"
     proc = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
@@ -37,3 +37,10 @@ def test_the_model_loads_neither_the_store_nor_the_workflow():
     loaded = _import_alone("model")
     assert "viewfilter.store" not in loaded
     assert "viewfilter.changes" not in loaded
+
+
+@pytest.mark.parametrize("module", ["cli", "service"])
+def test_an_entry_point_loads_neither_dataclasses_nor_inspect(module):
+    # The records are built by viewfilter.records; dataclasses would also load
+    # inspect, ast, dis and tokenize before every CLI command does any work.
+    assert {"dataclasses", "inspect"}.isdisjoint(_import_alone(module))

@@ -214,9 +214,11 @@ class TestBodyErrors:
         assert json.loads(body)["error"]["code"] == "bad_document"
         assert store.list_changes() == []
 
-    # Lengths above service.MAX_BODY are refused before any of the body is read.
+    # Lengths above service.MAX_BODY, and any form but ASCII digits (RFC 9110), are refused
+    # before any of the body is read.
     @pytest.mark.parametrize(
-        "length", ["abc", "-5", "-1", "1000000000000", "99999999999999999999", str(service_module.MAX_BODY + 1)]
+        "length",
+        ["abc", "-5", "-1", "+82", "8_2", "1000000000000", "99999999999999999999", str(service_module.MAX_BODY + 1)],
     )
     def test_bad_content_length_gets_invalid_input(self, service, capfd, length):
         base, store = service

@@ -1,11 +1,10 @@
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import sort_by_competence
 from viewfilter.errors import InvalidInputError, NotFoundError
+from viewfilter.records import replace
 from viewfilter.viewpoints import (
     Actor,
     CompetenceLevel,
