@@ -23,8 +23,10 @@ free-text fields (``name``, ``description``, ``role``, ``focus_label`` and
 or any string. A competence level is a bare integer. Referential problems
 are left to the validators (violations are data, not parse failures).
 
-Encoding reads the same record fields, so each stored entity's schema is
-written once. Enums and competence levels encode as their value, and an
+One walk over each type builds both directions: every type shape (a
+scalar, a list, a mapping, an enum, a record) holds its decoding and its
+encoding rule side by side, so each stored entity's schema is written
+once. Enums and competence levels encode as their value, and an
 ``Any`` field (a change's ``delta``) passes through as is, uncopied. A
 frozenset, or a tuple of strings, is sorted. A tuple of records is
 sorted by ``id`` when the element type has one, and otherwise by all of its
@@ -144,25 +146,32 @@ def decode(tp: Any, value: Any, path: str) -> Any:
     """``value`` strictly decoded as a ``tp``; ``path`` is its JSON path,
     which every error message starts with."""
     try:
-        return _decoder(tp)(value)
+        return _codec(tp)[0](value)
     except _Fault as fault:
         raise DocumentError(f"{path}{fault}") from None
 
 
+def _same(value: Any) -> Any:
+    return value
+
+
+_value = attrgetter("value")
+
+
 @cache
-def _decoder(tp: Any, nonempty: bool = True) -> Callable[[Any], Any]:
-    """The decoding function for values of type ``tp``, built once per type
-    from the record fields and their type hints; it raises ``_Fault``,
-    which ``decode`` turns into a ``DocumentError``. ``nonempty`` applies to
-    strings only."""
+def _codec(tp: Any, nonempty: bool = True) -> tuple[Callable[[Any], Any], Callable[[Any], Any]]:
+    """The ``(decode, encode)`` pair for values of type ``tp``, built once per
+    type by one walk over the record fields and their type hints. The
+    decoder raises ``_Fault``, which ``decode`` turns into a
+    ``DocumentError``; ``nonempty`` applies to strings only."""
     origin, args = get_origin(tp), get_args(tp)
 
     if tp is Any:
-        return lambda value: value
+        return _same, _same
 
     if tp is CompetenceLevel:
-        decode_int = _decoder(int)
-        return lambda value: CompetenceLevel(decode_int(value))
+        decode_int = _codec(int)[0]
+        return (lambda value: CompetenceLevel(decode_int(value))), _value
 
     if tp in _SCALARS or origin in (Union, UnionType):
         nullable = tp not in _SCALARS
@@ -179,10 +188,10 @@ def _decoder(tp: Any, nonempty: bool = True) -> Callable[[Any], Any]:
                 return None
             raise _Fault(f": expected {expected}")
 
-        return decode_scalar
+        return decode_scalar, _same
 
     if origin in (tuple, frozenset):
-        decode_item = _decoder(args[0])
+        decode_item, encode_item = _codec(args[0])
 
         def decode_list(value):
             if not isinstance(value, list):
@@ -195,10 +204,17 @@ def _decoder(tp: Any, nonempty: bool = True) -> Callable[[Any], Any]:
                 raise _Fault(f"[{len(items)}]{fault}") from None
             return origin(items)
 
-        return decode_list
+        if is_record(args[0]):
+            names = fields(args[0])
+            key = itemgetter("id") if "id" in names else itemgetter(*names)
+        elif origin is frozenset or args[0] is str:
+            key = None
+        else:
+            return decode_list, lambda value: list(map(encode_item, value))
+        return decode_list, lambda value: sorted(map(encode_item, value), key=key)
 
     if origin is abc.Mapping:
-        decode_value = _decoder(args[1])
+        decode_value, encode_value = _codec(args[1])
 
         def decode_mapping(value):
             if not isinstance(value, dict):
@@ -211,7 +227,7 @@ def _decoder(tp: Any, nonempty: bool = True) -> Callable[[Any], Any]:
                 raise _Fault(f".{key}{fault}") from None
             return items
 
-        return decode_mapping
+        return decode_mapping, lambda value: {key: encode_value(item) for key, item in value.items()}
 
     if isinstance(tp, type) and issubclass(tp, Enum):
         allowed = ", ".join(member.value for member in tp)
@@ -222,10 +238,10 @@ def _decoder(tp: Any, nonempty: bool = True) -> Callable[[Any], Any]:
             except ValueError:
                 raise _Fault(f": expected one of [{allowed}], got {value!r}") from None
 
-        return decode_enum
+        return decode_enum, _value
 
     hints = get_type_hints(tp)
-    decoders = tuple((name, _decoder(hints[name], name not in _FREE_TEXT_FIELDS)) for name in fields(tp))
+    codecs = tuple((name, *_codec(hints[name], name not in _FREE_TEXT_FIELDS)) for name in fields(tp))
     keys = frozenset(fields(tp))
 
     def decode_object(value):
@@ -238,48 +254,17 @@ def _decoder(tp: Any, nonempty: bool = True) -> Callable[[Any], Any]:
             raise _Fault(f": unknown keys {sorted(set(value) - keys)}")
         values = []
         try:
-            for name, decode_field in decoders:
+            for name, decode_field, _ in codecs:
                 values.append(decode_field(value[name]))
         except _Fault as fault:
             raise _Fault(f".{name}{fault}") from None
         return tp(*values)
 
-    return decode_object
-
-
-@cache
-def _encoder(tp: Any) -> Callable[[Any], Any]:
-    """The canonical encoding function for values of type ``tp``, built once per type."""
-    origin, args = get_origin(tp), get_args(tp)
-
-    if tp is CompetenceLevel or (isinstance(tp, type) and issubclass(tp, Enum)):
-        return attrgetter("value")
-
-    if origin is abc.Mapping:
-        encode_value = _encoder(args[1])
-        return lambda value: {key: encode_value(item) for key, item in value.items()}
-
-    if origin in (tuple, frozenset):
-        encode_item = _encoder(args[0])
-        if is_record(args[0]):
-            names = fields(args[0])
-            key = itemgetter("id") if "id" in names else itemgetter(*names)
-            return lambda value: sorted(map(encode_item, value), key=key)
-        if origin is frozenset or args[0] is str:
-            return lambda value: sorted(map(encode_item, value))
-        return lambda value: list(map(encode_item, value))
-
-    if not is_record(tp):
-        return lambda value: value
-
-    hints = get_type_hints(tp)
-    encoders = tuple((name, _encoder(hints[name])) for name in fields(tp))
-
     def encode_object(value):
-        return {name: encode(getattr(value, name)) for name, encode in encoders}
+        return {name: encode_field(getattr(value, name)) for name, _, encode_field in codecs}
 
     if tp is not Organization:
-        return encode_object
+        return decode_object, encode_object
 
     def encode_organization(org):
         doc = encode_object(org)
@@ -289,13 +274,13 @@ def _encoder(tp: Any) -> Callable[[Any], Any]:
             doc["collaboration_matrix"] = [[matrix[i][j] for j in order] for i in order]
         return doc
 
-    return encode_organization
+    return decode_object, encode_organization
 
 
 # -- stored entities ------------------------------------------------------------
 
 def model_to_doc(model: PpcoModel) -> dict:
-    return _encoder(PpcoModel)(model)
+    return _codec(PpcoModel)[1](model)
 
 
 def model_from_doc(doc: Any) -> PpcoModel:
@@ -303,7 +288,7 @@ def model_from_doc(doc: Any) -> PpcoModel:
 
 
 def actor_to_doc(actor: Actor) -> dict:
-    return _encoder(Actor)(actor)
+    return _codec(Actor)[1](actor)
 
 
 def actor_from_doc(doc: Any) -> Actor:
@@ -311,7 +296,7 @@ def actor_from_doc(doc: Any) -> Actor:
 
 
 def viewpoint_to_doc(vp: Viewpoint) -> dict:
-    return _encoder(Viewpoint)(vp)
+    return _codec(Viewpoint)[1](vp)
 
 
 def viewpoint_from_doc(doc: Any) -> Viewpoint:
@@ -319,7 +304,7 @@ def viewpoint_from_doc(doc: Any) -> Viewpoint:
 
 
 def change_to_doc(change: ChangeProposal) -> dict:
-    return _encoder(ChangeProposal)(change)
+    return _codec(ChangeProposal)[1](change)
 
 
 def change_from_doc(doc: Any) -> ChangeProposal:
@@ -327,7 +312,7 @@ def change_from_doc(doc: Any) -> ChangeProposal:
 
 
 def annotation_to_doc(annotation: Annotation) -> dict:
-    return _encoder(Annotation)(annotation)
+    return _codec(Annotation)[1](annotation)
 
 
 def annotation_from_doc(doc: Any) -> Annotation:

@@ -29,19 +29,20 @@ from .viewpoints import Actor, CompetenceLevel, Viewpoint, competence_for
 _TAG = r"[A-Za-z0-9_.-]+"
 _BATCH_RE = re.compile(rf"^{_TAG}$")
 
+# ASCII only, so that a number is ASCII digits and a separator ASCII whitespace.
 _HEADER_SEGMENTS = (
-    ("keyword 'rule'", re.compile(r"rule(?=\s|$)")),
-    ("'discipline=<tag|*>'", re.compile(rf"\s+discipline=(\*|{_TAG})")),
-    ("'activity=<tag|*>'", re.compile(rf"\s+activity=(\*|{_TAG})")),
-    ("'competence>=<n>'", re.compile(r"\s+competence>=(\d+)")),
-    ("end of line", re.compile(r"\s*$")),
+    ("keyword 'rule'", re.compile(r"rule(?=\s|$)", re.ASCII)),
+    ("'discipline=<tag|*>'", re.compile(rf"\s+discipline=(\*|{_TAG})", re.ASCII)),
+    ("'activity=<tag|*>'", re.compile(rf"\s+activity=(\*|{_TAG})", re.ASCII)),
+    ("'competence>=<n>'", re.compile(r"\s+competence>=(\d+)", re.ASCII)),
+    ("end of line", re.compile(r"\s*$", re.ASCII)),
 )
 
 _GRANT_SEGMENTS = (
-    ("indentation", re.compile(r"\s+")),
-    ("keyword 'grant'", re.compile(r"grant(?=\s|$)")),
-    ("'<Batch>:<level>'", re.compile(rf"\s+({_TAG}):(\d+)")),
-    ("end of line", re.compile(r"\s*$")),
+    ("indentation", re.compile(r"\s+", re.ASCII)),
+    ("keyword 'grant'", re.compile(r"grant(?=\s|$)", re.ASCII)),
+    ("'<Batch>:<level>'", re.compile(rf"\s+({_TAG}):(\d+)", re.ASCII)),
+    ("end of line", re.compile(r"\s*$", re.ASCII)),
 )
 
 

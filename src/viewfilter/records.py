@@ -10,15 +10,18 @@ Assigning or deleting an attribute raises ``FrozenRecordError``, an
 ``object.__setattr__``. Fields are the class's own annotations, in
 declaration order.
 
-All methods of a class are compiled by one ``exec``. Every CLI command
-builds these classes before it does any work, and ``dataclasses`` costs
-more there: importing it loads ``inspect`` (with ``ast``, ``dis`` and
-``tokenize``), and up to Python 3.12 it runs one ``exec`` per method. There
-are no ``__slots__``, so ``functools.cached_property`` works on a record.
+Only ``__init__`` is compiled, by one ``exec`` per class, since its signature
+and its argument errors are the class's own; the other methods are shared
+functions over ``__record_fields__``. Every CLI command builds these classes
+first, and ``dataclasses`` costs more there: importing it loads ``inspect``
+(with ``ast``, ``dis`` and ``tokenize``), and up to Python 3.12 it runs one
+``exec`` per method. There are no ``__slots__``, so
+``functools.cached_property`` works on a record.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Any, TypeVar
 
 T = TypeVar("T")
@@ -36,6 +39,35 @@ def _frozen_delattr(self, name):
     raise FrozenRecordError(f"cannot delete field {name!r}")
 
 
+def _values(obj) -> tuple:
+    return tuple([getattr(obj, name) for name in obj.__record_fields__])
+
+
+def _compare(op):
+    def method(self, other):
+        if other.__class__ is self.__class__:
+            return op(_values(self), _values(other))
+        return NotImplemented
+
+    method.__name__ = method.__qualname__ = f"__{op.__name__}__"
+    return method
+
+
+def _hash(self):
+    return hash(_values(self))
+
+
+def _repr(self):
+    fields_repr = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__record_fields__)
+    return f"{self.__class__.__qualname__}({fields_repr})"
+
+
+_SHARED = dict(
+    __eq__=_compare(operator.eq), __hash__=_hash, __repr__=_repr, __setattr__=_frozen_setattr, __delattr__=_frozen_delattr
+)
+_ORDERINGS = {f"__{op.__name__}__": _compare(op) for op in (operator.lt, operator.le, operator.gt, operator.ge)}
+
+
 def record(cls: type[T] | None = None, *, order: bool = False):
     """Class decorator: ``@record`` or ``@record(order=True)``."""
     if cls is None:
@@ -46,45 +78,15 @@ def record(cls: type[T] | None = None, *, order: bool = False):
 def _build(cls: type[T], order: bool) -> type[T]:
     names = tuple(cls.__dict__.get("__annotations__", {}))
     namespace: dict[str, Any] = {"_setattr": object.__setattr__}
-    params = []
-    for name in names:
-        if name in cls.__dict__:
-            namespace[f"_default_{name}"] = cls.__dict__[name]
-            params.append(f"{name}=_default_{name}")
-        else:
-            params.append(name)
-    mine = "".join(f"self.{name}," for name in names)
-    theirs = "".join(f"other.{name}," for name in names)
-    lines = [f"def __init__(self, {', '.join(params)}):"]
-    lines += [f"    _setattr(self, {name!r}, {name})" for name in names]
+    namespace.update((f"_default_{name}", cls.__dict__[name]) for name in names if name in cls.__dict__)
+    params = [f"{name}=_default_{name}" if name in cls.__dict__ else name for name in names]
+    body = [f"    _setattr(self, {name!r}, {name})" for name in names]
     if hasattr(cls, "__post_init__"):
-        lines.append("    self.__post_init__()")
-    if not names:
-        lines.append("    pass")
-    comparisons = [("__eq__", "==")]
-    if order:
-        comparisons += [("__lt__", "<"), ("__le__", "<="), ("__gt__", ">"), ("__ge__", ">=")]
-    for method, op in comparisons:
-        lines += [
-            f"def {method}(self, other):",
-            "    if other.__class__ is self.__class__:",
-            f"        return ({mine}) {op} ({theirs})",
-            "    return NotImplemented",
-        ]
-    fields_repr = ", ".join(f"{name}={{self.{name}!r}}" for name in names)
-    lines += [
-        "def __hash__(self):",
-        f"    return hash(({mine}))",
-        "def __repr__(self):",
-        f"    return f'{{self.__class__.__qualname__}}({fields_repr})'",
-    ]
-    methods: dict[str, Any] = {}
-    exec("\n".join(lines), namespace, methods)
-    for method, fn in methods.items():
-        fn.__qualname__ = f"{cls.__qualname__}.{method}"
+        body.append("    self.__post_init__()")
+    exec("\n".join([f"def __init__(self, {', '.join(params)}):", *(body or ["    pass"])]), namespace)
+    namespace["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+    for method, fn in {"__init__": namespace["__init__"], **_SHARED, **(_ORDERINGS if order else {})}.items():
         setattr(cls, method, fn)
-    cls.__setattr__ = _frozen_setattr
-    cls.__delattr__ = _frozen_delattr
     cls.__record_fields__ = names
     return cls
 
@@ -105,6 +107,4 @@ def fields(cls_or_obj: Any) -> tuple[str, ...]:
 def replace(obj: T, **changes: Any) -> T:
     """A copy of the record ``obj`` with some fields changed; ``__post_init__``
     runs again."""
-    values = {name: getattr(obj, name) for name in fields(obj)}
-    values.update(changes)
-    return obj.__class__(**values)
+    return obj.__class__(**dict(zip(fields(obj), _values(obj)), **changes))

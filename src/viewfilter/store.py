@@ -137,6 +137,9 @@ class Store:
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
+        # A missing root is an empty store, but its nearest existing ancestor must be a directory.
+        if not next(p for p in (self.root, *self.root.parents) if p.exists()).is_dir():
+            raise InvalidInputError(f"store root {self.root} is not a directory")
         self._dirs = {
             name: self.root / name
             for name in ("model", "actors", "viewpoints", "policies", "changes", "annotations")

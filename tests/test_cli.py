@@ -253,6 +253,27 @@ class TestFilterCommand:
         assert exc.value.code == 2
 
 
+class TestStoreRoot:
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "file-sub"])
+    @pytest.mark.parametrize(
+        "command",
+        [("filter", "--actor", "ActorX", "--artifact", "CycloneVessel"), ("policy", "set"), ("change", "list")],
+        ids=["read", "write", "list"],
+    )
+    def test_a_root_through_a_regular_file_is_a_domain_error(self, run, tmp_path, capsys, below, command):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a store\n")
+        policy = tmp_path / "policy.txt"
+        policy.write_text(fixture.DEFAULT_POLICY_TEXT)
+        root = blocker / below if below else blocker
+        code, out = run("--store", root, *command, *([policy] if command[-1] == "set" else []))
+        error = {"code": "invalid_input", "message": f"store root {root} is not a directory"}
+        assert (code, json.loads(out)) == (1, {"error": error})
+        assert capsys.readouterr().err == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "policy.txt"]
+        assert blocker.read_text() == "not a store\n"
+
+
 class TestChangeCommands:
     def test_full_lifecycle(self, run, store_root):
         code, out = run(

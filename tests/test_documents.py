@@ -180,7 +180,7 @@ _ERROR_TABLE = [
     ("actor", ("extra",), 1, "actor: unknown keys ['extra']"),
     ("viewpoint", ("objective", "extra"), 1, "viewpoint.objective: unknown keys ['extra']"),
     ("annotation", ("created",), _DELETE, "annotation: missing keys ['created']"),
-    # not an object: a dataclass names the type found, a mapping does not
+    # not an object: a record names the type found, a mapping does not
     ("model", (), [], "model: expected an object, got list"),
     ("model", ("artifacts", 2), "x", "model.artifacts[2]: expected an object, got str"),
     ("model", ("organization",), None, "model.organization: expected an object, got NoneType"),

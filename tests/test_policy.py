@@ -104,6 +104,10 @@ class TestParsing:
             ("rule discipline=a activity=* competence>=1 extra\n", 1, 43),
             ("rule discipline=a activity=* competence>=1\n  grant NoLevel\n", 2, 8),
             ("  grant Flows:1\n", 1, 1),
+            ("rule discipline=a activity=* competence>=\u0663\n  grant A:1\n", 1, 29),
+            ("rule discipline=a activity=* competence>=1\n  grant A:\u0661\u0660\n", 2, 8),
+            ("rule discipline=a activity=* competence>=\uff12\n  grant A:1\n", 1, 29),
+            ("rule discipline=a\u00a0activity=* competence>=1\n  grant A:1\n", 1, 18),
         ],
     )
     def test_syntax_errors_carry_line_and_column(self, text, line, column):
