@@ -8,9 +8,11 @@ are folded in; the audit trail preserves the competence-classified order.
 
 from __future__ import annotations
 
+import heapq
+from functools import cached_property
 from typing import Mapping
 
-from .model import PpcoModel
+from .model import PpcoModel, ancestors
 from .policy import (
     ConnexionEntry,
     ConnexionLevelList,
@@ -23,18 +25,53 @@ from .viewpoints import (
     Viewpoint,
     classification_vp,
     filtering_list_vp_artifact,
-    restitution_list_viewpoint,
+    lookup_actor,
 )
 
 
 @record
 class Workspace:
-    """Immutable snapshot of everything a filter evaluation reads."""
+    """Immutable snapshot of everything a filter evaluation reads.
+
+    What is derived from a snapshot is built on first use and kept on it, so
+    it lives exactly as long as the snapshot: the by-actor and by-target
+    viewpoint indexes, and ``filter_memo``.
+    """
 
     model: PpcoModel
     actors: Mapping[str, Actor]
     viewpoints: Mapping[str, Viewpoint]
     policy: Policy
+
+    @cached_property
+    def viewpoints_by_actor(self) -> dict[str, list[Viewpoint]]:
+        """Step 1's answer for every actor at once: their viewpoints, sorted by id."""
+        index: dict[str, list[Viewpoint]] = {}
+        for vp in sorted(self.viewpoints.values(), key=lambda vp: vp.id):
+            index.setdefault(vp.actor_id, []).append(vp)
+        return index
+
+    @cached_property
+    def viewpoints_by_target(self) -> dict[str, list[tuple[int, Viewpoint]]]:
+        """Viewpoints by target artifact, each with its position in ``viewpoints``."""
+        index: dict[str, list[tuple[int, Viewpoint]]] = {}
+        for position, vp in enumerate(self.viewpoints.values()):
+            index.setdefault(vp.objective.target_artifact_id, []).append((position, vp))
+        return index
+
+    def viewpoints_on(self, artifact_id: str) -> list[Viewpoint]:
+        """The viewpoints targeting the artifact or one of its ancestors, in
+        ``viewpoints`` order: step 2 over every actor, read from the by-target index."""
+        index = self.viewpoints_by_target
+        chain = (index.get(target, ()) for target in (artifact_id, *ancestors(self.model, artifact_id)))
+        return [vp for _, vp in heapq.merge(*chain)]
+
+    @cached_property
+    def filter_memo(self) -> dict:
+        """Served filters by (actor id, ordered covering viewpoint ids). Steps
+        3 to 5 read nothing else of the snapshot, so the key decides the
+        result's ``entries`` and ``audit``. The service fills it."""
+        return {}
 
 
 @record
@@ -81,6 +118,15 @@ def optimize_list_connexion_level(
     return ConnexionLevelList.from_entries(merged.values())
 
 
+def covering_viewpoints(ws: Workspace, artifact_id: str, actor_id: str) -> list[Viewpoint]:
+    """Steps 1 and 2: the actor's viewpoints covering the artifact, sorted by
+    id. Step 1 reads the by-actor index. An unknown actor is reported before
+    an unknown artifact."""
+    lookup_actor(ws.actors, actor_id)
+    ws.model.artifact(artifact_id)
+    return filtering_list_vp_artifact(ws.model, ws.viewpoints_by_actor.get(actor_id, ()), artifact_id)
+
+
 def filtering_info_artifact(ws: Workspace, artifact_id: str, actor_id: str) -> FilterResult:
     """Run the full pipeline for one actor on one artifact.
 
@@ -88,10 +134,12 @@ def filtering_info_artifact(ws: Workspace, artifact_id: str, actor_id: str) -> F
     order them by competence, evaluate each against the policy, then fold the
     per-viewpoint lists with the minimum-level merge (seeded with the first).
     """
-    all_vps = restitution_list_viewpoint(ws.actors, ws.viewpoints, actor_id)
-    ws.model.artifact(artifact_id)
-    on_artifact = filtering_list_vp_artifact(ws.model, all_vps, artifact_id)
-    ordered = classification_vp(ws.actors, on_artifact)
+    return filter_covering(ws, artifact_id, actor_id, covering_viewpoints(ws, artifact_id, actor_id))
+
+
+def filter_covering(ws: Workspace, artifact_id: str, actor_id: str, covering: list[Viewpoint]) -> FilterResult:
+    """Steps 3 to 5 on the covering viewpoints that steps 1 and 2 gave."""
+    ordered = classification_vp(ws.actors, covering)
 
     per_viewpoint = [
         restitution_list_connexion_level(vp, ws.actors[vp.actor_id], ws.policy) for vp in ordered

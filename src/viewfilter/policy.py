@@ -165,7 +165,8 @@ def _match_segments(line: str, line_no: int, segments) -> list[str]:
 
 
 def parse_policy(document: str) -> Policy:
-    """Parse policy text; blank lines and ``#`` comments are ignored.
+    """Parse policy text; blank lines (empty, or only spaces and tabs) and
+    ``#`` comments are ignored.
 
     Raises :class:`PolicyParseError` with line/column on malformed syntax and
     :class:`PolicySemanticError` on bound or duplicate violations.
@@ -190,10 +191,10 @@ def parse_policy(document: str) -> Policy:
         header, grants, grant_lines = None, [], {}
 
     for line_no, raw in enumerate(document.splitlines(), start=1):
-        stripped = raw.strip()
+        stripped = raw.strip(" \t")  # ASCII, like every separator: other spaces are not blank
         if not stripped or stripped.startswith("#"):
             continue
-        if raw[0] not in " \t":
+        if not raw[0].isspace():  # a line indented by any space is a grant line, well-formed or not
             close_rule()
             discipline, activity, competence = _match_segments(raw, line_no, _HEADER_SEGMENTS)
             header = (line_no, discipline, activity, int(competence))

@@ -20,6 +20,21 @@ is disconnected, so it holds a worker for no longer than that. Connections
 that arrive while every worker is busy wait in the listen backlog of
 ``Server.request_queue_size``. ``serve`` has all threads allocate from one
 glibc malloc arena.
+
+Every request reads the store through one resident snapshot:
+``Store.load_workspace`` returns the same ``Workspace`` until one of its four
+parts (model, actors, viewpoints, policy) is reloaded or written, and what is
+derived from it is built on first use and dropped along with it. A filter
+lists the actor's viewpoints from the snapshot's by-actor index (step 1) and
+keeps those covering the artifact (step 2). Steps 3 to 5 read nothing else,
+so the served ``audit`` and ``entries`` depend only on the actor and the
+ordered ids of those covering viewpoints. The snapshot's filter memo keeps
+their encoded text under that key; steps 3 to 5 and the encoding run only on
+a miss, and the memo takes no new key once it holds ``FILTER_MEMO_CAP``.
+``changes.concerned_actors`` reads the snapshot's by-target index, so a
+proposal walks only the viewpoints on the artifact's ancestor chain. The
+bytes served are those of ``canonical_dumps(filter_result_to_doc(result,
+include_audit=True))`` either way.
 """
 
 from __future__ import annotations
@@ -37,7 +52,7 @@ from urllib.parse import parse_qs, unquote, urlparse
 
 from . import documents
 from .changes import ChangeWorkflow
-from .engine import filtering_info_artifact
+from .engine import covering_viewpoints, filter_covering
 from .errors import DocumentError, InternalError, InvalidInputError, NotFoundError
 from .records import record
 from .store import Store
@@ -45,6 +60,7 @@ from .store import Store
 WORKERS = 8  # threads serving connections
 IDLE_TIMEOUT = 10.0  # seconds a connection may stay silent before it is closed
 MAX_BODY = 16 * 1024 * 1024  # bytes a request body may hold, far above a scaled model (about 130 KB)
+FILTER_MEMO_CAP = 256  # served filters one snapshot's memo keeps; a full memo takes no new key
 _M_ARENA_MAX = -8  # glibc's mallopt parameter for the number of malloc arenas
 
 
@@ -66,12 +82,32 @@ def _get_actor_annotations(store: Store, params, query, body):
     return 200, {"annotations": [documents.annotation_to_doc(a) for a in annotations]}
 
 
+_memo_lock = threading.Lock()  # keeps a memo within its cap when workers miss together
+
+
 def _get_filter(store: Store, params, query, body):
+    """An audited filter's canonical bytes. A memo hit serves its stored
+    ``audit`` and ``entries`` text after a head naming the actor and the
+    artifact, which sort first among the document's keys."""
     actors = query.get("actor", [])
     if len(actors) != 1:
         raise InvalidInputError("query parameter 'actor' is required exactly once")
-    result = filtering_info_artifact(store.load_workspace(), params["artifact_id"], actors[0])
-    return 200, documents.filter_result_to_doc(result, include_audit=True)
+    actor_id, artifact_id = actors[0], params["artifact_id"]
+    ws = store.load_workspace()
+    covering = covering_viewpoints(ws, artifact_id, actor_id)
+    key = (actor_id, tuple(vp.id for vp in covering))
+    names = (documents.canonical_dumps(actor_id)[:-1], documents.canonical_dumps(artifact_id)[:-1])
+    head = ('{\n  "actor_id": %s,\n  "artifact_id": %s' % names).encode("utf-8")
+    memo = ws.filter_memo
+    tail = memo.get(key)
+    if tail is not None:
+        return 200, head + tail
+    result = filter_covering(ws, artifact_id, actor_id, covering)
+    payload = documents.canonical_dumps(documents.filter_result_to_doc(result, include_audit=True)).encode("utf-8")
+    with _memo_lock:
+        if len(memo) < FILTER_MEMO_CAP:
+            memo[key] = payload[len(head):]
+    return 200, payload
 
 
 @record
@@ -139,7 +175,8 @@ def make_handler(store: Store):
             pass
 
         def _respond(self, status: int, doc, close: bool = False) -> None:
-            payload = documents.canonical_dumps(doc).encode("utf-8")
+            """Send a document, or a document's canonical bytes as they are."""
+            payload = doc if isinstance(doc, bytes) else documents.canonical_dumps(doc).encode("utf-8")
             self.send_response(status)
             self.send_header("Content-Type", "application/json; charset=utf-8")
             self.send_header("Content-Length", str(len(payload)))

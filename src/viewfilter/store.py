@@ -150,6 +150,8 @@ class Store:
         # part -> (key, value); each entry is replaced whole, so threads
         # never see a key with another key's value.
         self._parts: dict[str, tuple[object, object]] = {}
+        # The last Workspace built from the cached parts; dropped with any of them.
+        self._snapshot: Workspace | None = None
 
     # -- low-level document I/O ----------------------------------------------
 
@@ -205,11 +207,23 @@ class Store:
         cached = self._parts.get(part)
         if cached is not None and cached[0] == token:
             return cached[1]
-        self._parts.pop(part, None)
+        del cached  # the stale copy, too, must go before its successor loads
+        self._drop(part)
         value = _PARTS[part][1](self, token)
         if token is not None:
             self._parts[part] = (token, value)
         return value
+
+    def _drop(self, part: str) -> None:
+        """Forget a stale part and the snapshot that holds it, so neither
+        stays alive while its successor is loaded."""
+        self._snapshot = None
+        self._parts.pop(part, None)
+
+    def _keep(self, part: str, key, value) -> None:
+        """Cache a part this Store has just written."""
+        self._drop(part)
+        self._parts[part] = (key, value)
 
     def _registry_text(self, kind: str) -> str:
         """The JSON list of a registry's documents as stored: ``REGISTRY`` after
@@ -237,7 +251,7 @@ class Store:
         texts += (documents.canonical_dumps(to_doc(entity)) for entity in new.values())
         token = os.urandom(12).hex()  # 96 random bits: fresh, and unique across processes
         self._write_text(self._commits[kind], f"{token}\n[{','.join(texts)}]")
-        self._parts[kind] = (token.encode(), dict(sorted({**registry, **new}.items())))
+        self._keep(kind, token.encode(), dict(sorted({**registry, **new}.items())))
 
     # -- sequence counter ------------------------------------------------------
 
@@ -318,12 +332,12 @@ class Store:
         keep the validated model as this Store's cached model part."""
         with self.lock:
             # The cached model is stale from here on; free it before decoding another.
-            self._parts.pop("model", None)
+            self._drop("model")
             model = self.check_importable(doc)
             token = os.urandom(12).hex()
             version = self._publish(documents.canonical_dumps(documents.model_to_doc(model)), token)
             # Its tuples keep the document's order, not the stored one; every reader looks entities up by id.
-            self._parts["model"] = (token, model)
+            self._keep("model", token, model)
             return version
 
     def republish_model(self) -> int:
@@ -406,7 +420,7 @@ class Store:
         canonical = serialize_policy(policy)
         with self.lock:
             self._write_text(self._commits["policies"], canonical)
-            self._parts["policies"] = (canonical, policy)
+            self._keep("policies", canonical, policy)
         return policy
 
     def get_policy_text(self) -> str:
@@ -454,10 +468,19 @@ class Store:
 
     def load_workspace(self) -> Workspace:
         """Current model, registries, and policy as one immutable snapshot,
-        assembled from the four cached parts."""
-        return Workspace(
-            model=self._part("model"),
-            actors=self._part("actors"),
-            viewpoints=self._part("viewpoints"),
-            policy=self.get_policy(),
-        )
+        assembled from the four cached parts. The same object comes back
+        until one of the parts is reloaded or written, so what is derived
+        from a snapshot (its viewpoint indexes and filter memo) is built once
+        and dropped along with it."""
+        model, actors, viewpoints = self._part("model"), self._part("actors"), self._part("viewpoints")
+        policy = self.get_policy()
+        ws = self._snapshot
+        if (
+            ws is None
+            or ws.model is not model
+            or ws.actors is not actors
+            or ws.viewpoints is not viewpoints
+            or ws.policy is not policy
+        ):
+            ws = self._snapshot = Workspace(model, actors, viewpoints, policy)
+        return ws

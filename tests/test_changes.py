@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import unanimity_oracle
+from _strategies import workspaces
 from viewfilter import changes, documents, fixture
 from viewfilter.changes import (
     ChangeProposal,
@@ -26,7 +27,9 @@ from viewfilter.errors import (
     NotFoundError,
     PermissionDeniedError,
 )
+from viewfilter.policy import restitution_list_connexion_level
 from viewfilter.store import Store
+from viewfilter.viewpoints import filtering_list_vp_artifact
 
 ACTOR_POOL = [f"A{i}" for i in range(6)]
 
@@ -68,6 +71,34 @@ class TestConcernedActors:
     def test_unknown_artifact(self, workspace):
         with pytest.raises(NotFoundError):
             concerned_actors(workspace, "Ghost", "Group")
+
+    def test_by_target_index_matches_the_full_scan_on_the_fixture(self, workspace):
+        _assert_matches_full_scan(workspace)
+
+    @given(ws=workspaces())
+    @settings(max_examples=60, deadline=None)
+    def test_by_target_index_matches_the_full_scan_on_drawn_workspaces(self, ws):
+        _assert_matches_full_scan(ws)
+
+
+def _full_scan(ws, artifact_id, batch):
+    """``concerned_actors`` by a scan of every registered viewpoint."""
+    ws.model.artifact(artifact_id)
+    concerned = set()
+    for vp in filtering_list_vp_artifact(ws.model, list(ws.viewpoints.values()), artifact_id):
+        actor = ws.actors.get(vp.actor_id)
+        if actor is not None and restitution_list_connexion_level(vp, actor, ws.policy).get(batch) is not None:
+            concerned.add(actor.id)
+    return concerned
+
+
+def _assert_matches_full_scan(ws):
+    batches = sorted({grant.batch for rule in ws.policy.rules for grant in rule.grants} | {"NoSuchBatch"})
+    for artifact_id in ws.model.artifacts_by_id:
+        scanned = filtering_list_vp_artifact(ws.model, list(ws.viewpoints.values()), artifact_id)
+        assert ws.viewpoints_on(artifact_id) == scanned
+        for batch in batches:
+            assert concerned_actors(ws, artifact_id, batch) == _full_scan(ws, artifact_id, batch), (artifact_id, batch)
 
 
 class TestOpenProposal:

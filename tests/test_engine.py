@@ -3,9 +3,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import MERGED_TABLE, VP1_TABLE, VP2_TABLE, brute_force_merge, brute_force_provenance
-from viewfilter.engine import filtering_info_artifact, optimize_list_connexion_level
+from _strategies import workspaces
+from viewfilter.engine import (
+    AuditEntry,
+    FilterResult,
+    covering_viewpoints,
+    filtering_info_artifact,
+    optimize_list_connexion_level,
+)
 from viewfilter.errors import NotFoundError
-from viewfilter.policy import ConnexionEntry, ConnexionLevelList
+from viewfilter.policy import ConnexionEntry, ConnexionLevelList, restitution_list_connexion_level
+from viewfilter.viewpoints import classification_vp, filtering_list_vp_artifact, restitution_list_viewpoint
 
 BATCHES = [
     "Artifact", "Assembly", "Behavior", "Constraints", "Flows", "Function",
@@ -156,3 +164,26 @@ class TestPipeline:
         assert result.entries.levels() == brute_force_merge([levels for _, levels in audit_levels])
         provenance = brute_force_provenance(audit_levels)
         assert {e.batch: set(e.provenance) for e in result.entries} == provenance
+
+
+def _five_steps_by_scan(ws, artifact_id, actor_id):
+    """The five steps as separate calls, step 1 scanning every viewpoint."""
+    vps = restitution_list_viewpoint(ws.actors, ws.viewpoints, actor_id)
+    ordered = classification_vp(ws.actors, filtering_list_vp_artifact(ws.model, vps, artifact_id))
+    per_viewpoint = [restitution_list_connexion_level(vp, ws.actors[vp.actor_id], ws.policy) for vp in ordered]
+    if not per_viewpoint:
+        return FilterResult(actor_id, artifact_id, ConnexionLevelList())
+    audit = tuple(AuditEntry(vp.id, lst) for vp, lst in zip(ordered, per_viewpoint))
+    return FilterResult(actor_id, artifact_id, _fold(per_viewpoint), audit)
+
+
+class TestByActorIndex:
+    @given(ws=workspaces())
+    @settings(max_examples=60, deadline=None)
+    def test_indexed_steps_match_the_scan(self, ws):
+        for actor_id in ws.actors:
+            vps = restitution_list_viewpoint(ws.actors, ws.viewpoints, actor_id)
+            assert ws.viewpoints_by_actor.get(actor_id, []) == vps
+            for artifact_id in ws.model.artifacts_by_id:
+                assert covering_viewpoints(ws, artifact_id, actor_id) == filtering_list_vp_artifact(ws.model, vps, artifact_id)
+                assert filtering_info_artifact(ws, artifact_id, actor_id) == _five_steps_by_scan(ws, artifact_id, actor_id)

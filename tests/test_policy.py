@@ -115,6 +115,25 @@ class TestParsing:
             parse_policy(text)
         assert (exc.value.line, exc.value.column) == (line, column)
 
+    def test_a_grant_indented_by_an_ideographic_space_is_a_parse_error(self):
+        # Not a new header, which would close the rule above with no grants.
+        with pytest.raises(PolicyParseError) as exc:
+            parse_policy("rule discipline=a activity=* competence>=1\n\u3000grant A:1\n")
+        assert (exc.value.code, exc.value.line, exc.value.column) == ("policy_parse_error", 2, 1)
+
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            ("\u3000\n", 1),
+            ("rule discipline=a activity=* competence>=1\n  grant A:1\n\u3000\n", 3),
+        ],
+        ids=["alone", "after-a-rule"],
+    )
+    def test_a_line_of_only_an_ideographic_space_is_not_blank(self, text, line):
+        with pytest.raises(PolicyParseError) as exc:
+            parse_policy(text)
+        assert (exc.value.code, exc.value.line, exc.value.column) == ("policy_parse_error", line, 1)
+
     @given(policy=policies())
     @settings(max_examples=150)
     def test_round_trip_identity(self, policy):

@@ -10,6 +10,7 @@ import time
 import urllib.error
 import urllib.request
 from pathlib import Path
+from urllib.parse import quote
 
 import pytest
 
@@ -18,7 +19,7 @@ from _corruptions import CORRUPTIONS
 from _oracles import MERGED_TABLE
 from viewfilter import documents, fixture, service as service_module
 from viewfilter.cli import main
-from viewfilter.engine import filtering_info_artifact
+from viewfilter.engine import covering_viewpoints, filtering_info_artifact
 from viewfilter.service import create_server
 from viewfilter.store import Store
 
@@ -121,6 +122,12 @@ class TestQueryEndpoints:
         base, _ = service
         status, _ = request(base, "GET", "/artifacts/Ghost/filter?actor=ActorX")
         assert status == 404
+
+    def test_filter_reports_an_unknown_actor_before_an_unknown_artifact(self, service):
+        base, _ = service
+        status, body = request(base, "GET", "/artifacts/Ghost/filter?actor=Nobody")
+        assert status == 404
+        assert json.loads(body)["error"] == {"code": "not_found", "message": "unknown actor: Nobody"}
 
     def test_unknown_route_is_404(self, service):
         base, _ = service
@@ -414,6 +421,49 @@ class TestCliParity:
         assert cli_bytes("change", "show", change_id) == shown
         _, annotations = request(base, "GET", "/actors/ActorY/annotations")
         assert cli_bytes("actor", "annotations", "ActorY") == annotations
+
+
+
+def _fixture_pairs(store):
+    ws = Store(store.root).load_workspace()
+    return [(actor, artifact) for actor in sorted(ws.actors) for artifact in sorted(ws.model.artifacts_by_id)]
+
+
+def _filter_path(actor, artifact):
+    return f"/artifacts/{quote(artifact, safe='')}/filter?actor={quote(actor, safe='')}"
+
+
+class TestFilterMemo:
+    """The snapshot's memo serves a repeated (actor, covering viewpoints) key."""
+
+    def test_a_memo_hit_serves_the_cli_bytes_for_every_pair(self, service, capsys, monkeypatch):
+        base, store = service
+        pairs = _fixture_pairs(store)
+        first = {pair: request(base, "GET", _filter_path(*pair)) for pair in pairs}
+
+        def steps_3_to_5(*args):
+            raise AssertionError("a memo hit ran steps 3 to 5")
+
+        monkeypatch.setattr(service_module, "filter_covering", steps_3_to_5)
+        for actor, artifact in pairs:
+            status, body = request(base, "GET", _filter_path(actor, artifact))
+            assert (status, body) == first[actor, artifact]
+            argv = ["--store", str(store.root), "filter", "--actor", actor, "--artifact", artifact, "--audit"]
+            assert main(argv) == 0
+            assert capsys.readouterr().out.encode("utf-8") == body, (actor, artifact)
+
+    def test_the_memo_stops_growing_at_its_cap(self, service, monkeypatch):
+        base, store = service
+        monkeypatch.setattr(service_module, "FILTER_MEMO_CAP", 3)
+        ws = Store(store.root).load_workspace()
+        pairs = _fixture_pairs(store)
+        keys = {(actor, tuple(vp.id for vp in covering_viewpoints(ws, artifact, actor))) for actor, artifact in pairs}
+        assert len(keys) > 3
+        for _ in range(2):
+            for actor, artifact in pairs:
+                expected = documents.filter_result_to_doc(filtering_info_artifact(ws, artifact, actor), include_audit=True)
+                assert request(base, "GET", _filter_path(actor, artifact))[1] == documents.canonical_dumps(expected).encode()
+        assert len(store.load_workspace().filter_memo) == 3
 
 
 @pytest.fixture()

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import pytest
@@ -693,6 +694,51 @@ class TestWorkspaceCache:
         store.import_model(store.export_model())  # validation decodes the new version once
         assert store.load_model().artifacts_by_id
         assert len(decoded) == 3
+
+
+_SNAPSHOT_WRITES = {
+    "import_model": lambda store: store.import_model(_moved(store, "DustValve", "MountingFrame")),
+    "add_actor": lambda store: store.add_actor(_ACTOR_W),
+    "add_viewpoints": lambda store: store.add_viewpoints([_VP_Y]),
+    "set_policy": lambda store: store.set_policy(fixture.DEFAULT_POLICY_TEXT + _QUALITY_RULE),
+    "staged publication": _publish_by_decision,
+}
+
+
+class TestResidentSnapshot:
+    """``load_workspace`` returns one object until a part is reloaded or written."""
+
+    def test_reads_and_a_plain_approval_keep_the_snapshot(self, seeded_store):
+        writer, reader = Store(seeded_store.root), Store(seeded_store.root)
+        snapshots = (writer.load_workspace(), reader.load_workspace())
+        assert (writer.load_workspace(), reader.load_workspace()) == snapshots
+        assert writer.load_workspace() is snapshots[0] and reader.load_workspace() is snapshots[1]
+        _approve_plainly(writer)  # copies CURRENT's token, so no part moves
+        assert writer.load_workspace() is snapshots[0]
+        assert reader.load_workspace() is snapshots[1]
+
+    @pytest.mark.parametrize("by", ["this Store", "another Store"])
+    @pytest.mark.parametrize("write", list(_SNAPSHOT_WRITES.values()), ids=list(_SNAPSHOT_WRITES))
+    def test_a_workspace_write_gives_a_new_snapshot(self, seeded_store, write, by):
+        store = Store(seeded_store.root)
+        old = store.load_workspace()
+        old.filter_memo["key"] = b"text"
+        write(store if by == "this Store" else Store(seeded_store.root))
+        new = store.load_workspace()
+        assert new is not old
+        assert new.filter_memo == {}
+        assert store.load_workspace() is new
+        assert _workspace_filters(new) == _filters(Store(seeded_store.root))
+
+    def test_the_stale_snapshot_is_gone_before_its_part_reloads(self, seeded_store, monkeypatch):
+        store = Store(seeded_store.root)
+        old_model = weakref.ref(store.load_workspace().model)
+        Store(seeded_store.root).import_model(_moved(store, "DustValve", "MountingFrame"))
+        alive = []
+        real = Store.load_model
+        monkeypatch.setattr(Store, "load_model", lambda self: alive.append(old_model() is not None) or real(self))
+        store.load_workspace()
+        assert alive == [False]
 
 
 def _per_entity_filters(root):
