@@ -35,6 +35,14 @@ def _read_input(source: str) -> str:
         raise DocumentError(f"{source} is not UTF-8: {exc}") from None
 
 
+def _read_batch(source: str, kind: str) -> tuple[list, bool]:
+    """The batch in a document, a list of them, or ``{kind: [...]}``, and whether it was one bare document."""
+    doc = documents.canonical_loads(_read_input(source))
+    if isinstance(doc, dict) and kind in doc:
+        return doc[kind], False
+    return (doc, False) if isinstance(doc, list) else ([doc], True)
+
+
 def _emit(text: str) -> None:
     sys.stdout.write(text)
 
@@ -66,8 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     actor = commands.add_parser("actor", help="actor registry")
     actor_sub = actor.add_subparsers(dest="subcommand", required=True)
-    actor_add = actor_sub.add_parser("add")
-    actor_add.add_argument("file", help="actor document path, or - for stdin")
+    actor_add = actor_sub.add_parser("add", help="add one actor or a batch")
+    actor_add.add_argument("file", help="actor document, list, or {\"actors\": [...]}")
     actor_sub.add_parser("list")
     actor_annotations = actor_sub.add_parser("annotations", help="annotations addressed to an actor")
     actor_annotations.add_argument("actor_id")
@@ -134,8 +142,9 @@ def _run(args) -> int:
 
     elif args.command == "actor":
         if args.subcommand == "add":
-            actor = store.add_actor(documents.canonical_loads(_read_input(args.file)))
-            _emit_doc(documents.actor_to_doc(actor))
+            docs, bare = _read_batch(args.file, "actors")
+            added = [documents.actor_to_doc(a) for a in store.register("actors", docs)]
+            _emit_doc(added[0] if bare else {"actors": added})
         elif args.subcommand == "list":
             _emit_doc({"actors": [documents.actor_to_doc(a) for a in store.list_actors()]})
         else:
@@ -144,12 +153,7 @@ def _run(args) -> int:
 
     elif args.command == "vp":
         if args.subcommand == "add":
-            docs = documents.canonical_loads(_read_input(args.file))
-            if isinstance(docs, dict) and "viewpoints" in docs:
-                docs = docs["viewpoints"]
-            elif not isinstance(docs, list):
-                docs = [docs]
-            added = store.add_viewpoints(docs)
+            added = store.register("viewpoints", _read_batch(args.file, "viewpoints")[0])
             _emit_doc({"viewpoints": [documents.viewpoint_to_doc(vp) for vp in added]})
         else:
             vps = store.list_viewpoints(args.actor)

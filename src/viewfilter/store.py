@@ -15,7 +15,7 @@ Layout under the store root::
 Opening a store writes nothing, so a read of a missing root creates no
 directory; the first write creates the whole tree.
 
-Every read-modify-write (``next_seq``, registrations, policy sets, model
+Every read-modify-write (``next_seq``, ``register``, policy sets, model
 imports, and each whole change-workflow operation) holds ``Store.lock``,
 which excludes writers in other processes as well as other threads; readers
 take no lock. Writes land via write-to-temp (a temp name unique to the
@@ -27,7 +27,7 @@ Readers always see a complete document.
 The Workspace has four parts: model, actors, viewpoints and policy. One
 rename commits each part, and a ``Store`` caches each part under a key read
 from the file so renamed: ``CURRENT``'s token, ``REGISTRY``'s first line, or
-the text of ``default.policy`` itself. A model import and a registration
+the text of ``default.policy`` itself. A model import and ``register``
 write a fresh, random token; a plain approval, which copies the current
 version's bytes as the next version, copies the current token too. ``seq``,
 change and annotation writes move no key. A write, in any process, so makes
@@ -36,12 +36,12 @@ A reader reads a token before the data, so a token it has seen never names
 data older than what it then loads. The policy is parsed from its key: a
 text, unlike a token, can come back (A, B, then A again), so a policy read
 apart from its key could be cached under the wrong text. A missing or empty
-registry token turns that registry's cache off until its next registration.
+registry token turns that registry's cache off until its next ``register``.
 
 A ``CURRENT`` written before tokens existed is keyed by its version, and
 ``TOKEN`` files of that time are ignored. A store written before
 ``REGISTRY`` existed, with one ``<id>.json`` per actor and viewpoint, is
-read from those files until a registration writes the registry's
+read from those files until ``register`` writes the registry's
 ``REGISTRY`` from their texts plus the batch.
 """
 
@@ -91,6 +91,34 @@ _PARTS = {
     "actors": ("REGISTRY", lambda store, key: {a.id: a for a in store.list_actors()}),
     "viewpoints": ("REGISTRY", lambda store, key: {vp.id: vp for vp in store.list_viewpoints()}),
     "policies": ("default.policy", lambda store, text: Policy() if text is None else parse_policy(text)),
+}
+
+
+def _unregistered(store: Store, entity: str, registry: dict, new: dict) -> None:
+    for entity_id in new:
+        if entity_id in registry:
+            raise ConflictError(f"{entity} {entity_id} is already registered")
+
+
+def _teams_resolve(store: Store, entity: str, registry: dict, new: dict) -> None:
+    teams = store._part("model").teams_by_id
+    for actor in new.values():
+        if actor.team_id not in teams:
+            raise InvalidInputError(f"actor {actor.id}: team {actor.team_id} does not resolve")
+
+
+def _validated(store: Store, entity: str, registry: dict, new: dict) -> None:
+    violations = [v.to_doc() for v in validate_registry(store._part("model"), store._part("actors"), new, registry)]
+    if violations:
+        raise InvalidInputError("viewpoint registration rejected by validation", violations=violations)
+
+
+# Each registry, by its directory: the singular name its errors use, its document
+# decoder and encoder (looked up in ``documents`` at each call, so that the spans
+# bench/traced.py patches onto them see every call), and the checks a batch passes, in order.
+_KINDS = {
+    "actors": ("actor", "actor_from_doc", "actor_to_doc", (_teams_resolve, _unregistered)),
+    "viewpoints": ("viewpoint", "viewpoint_from_doc", "viewpoint_to_doc", (_unregistered, _validated)),
 }
 
 
@@ -235,23 +263,39 @@ class Store:
             return f"[{','.join(map(_read_text, sorted(self._dirs[kind].glob('*.json'))))}]"
         return _decode(data.partition(b"\n")[2], path)
 
-    def _registry(self, kind: str, from_doc) -> list:
+    def _registry(self, kind: str) -> list:
         """Every actor or viewpoint, sorted by id."""
         docs = documents.canonical_loads(self._registry_text(kind))
         if not isinstance(docs, list):
             raise DocumentError(f"{kind}: expected a list")
-        return sorted(map(from_doc, docs), key=lambda e: e.id)
+        return sorted(map(getattr(documents, _KINDS[kind][1]), docs), key=lambda e: e.id)
 
-    def _register(self, kind: str, registry: dict, new: dict, to_doc) -> None:
-        """Commit a batch, checked against ``registry`` (the part held under
-        ``lock``), with one rename of ``REGISTRY``: the stored list's bytes plus
-        the batch's documents. This Store keeps both, in id order, under the token."""
-        stored = self._registry_text(kind).strip()[1:-1]
-        texts = [stored] if stored.strip() else []
-        texts += (documents.canonical_dumps(to_doc(entity)) for entity in new.values())
-        token = os.urandom(12).hex()  # 96 random bits: fresh, and unique across processes
-        self._write_text(self._commits[kind], f"{token}\n[{','.join(texts)}]")
-        self._keep(kind, token.encode(), dict(sorted({**registry, **new}.items())))
+    def register(self, kind: str, docs: list) -> list:
+        """Register a batch of ``"actors"`` or ``"viewpoints"``, checked as a whole (so viewpoints may name each
+        other), with one ``REGISTRY`` rename, or not at all; this Store keeps what it wrote."""
+        entity, decoder, encoder, checks = _KINDS[kind]
+        from_doc, to_doc = getattr(documents, decoder), getattr(documents, encoder)
+        if not isinstance(docs, list):
+            raise DocumentError(f"{kind}: expected a list")
+        new = {}
+        for doc in docs:
+            item = from_doc(doc)
+            if _check_id(entity, item.id) in new:
+                raise ConflictError(f"{entity} {item.id} appears twice in the batch")
+            new[item.id] = item
+        if not new:  # nothing to write, so no token moves
+            return []
+        with self.lock:
+            registry = self._part(kind)
+            for check in checks:
+                check(self, entity, registry, new)
+            stored = self._registry_text(kind).strip()[1:-1]
+            texts = [stored] if stored.strip() else []
+            texts += (documents.canonical_dumps(to_doc(item)) for item in new.values())
+            token = os.urandom(12).hex()  # 96 random bits: fresh, and unique across processes
+            self._write_text(self._commits[kind], f"{token}\n[{','.join(texts)}]")
+            self._keep(kind, token.encode(), dict(sorted({**registry, **new}.items())))
+            return list(new.values())
 
     # -- sequence counter ------------------------------------------------------
 
@@ -357,19 +401,10 @@ class Store:
     # -- actors ------------------------------------------------------------------
 
     def add_actor(self, doc) -> Actor:
-        actor = documents.actor_from_doc(doc)
-        _check_id("actor", actor.id)
-        with self.lock:
-            if actor.team_id not in self._part("model").teams_by_id:
-                raise InvalidInputError(f"actor {actor.id}: team {actor.team_id} does not resolve")
-            registry = self._part("actors")
-            if actor.id in registry:
-                raise ConflictError(f"actor {actor.id} is already registered")
-            self._register("actors", registry, {actor.id: actor}, documents.actor_to_doc)
-            return actor
+        return self.register("actors", [doc])[0]
 
     def list_actors(self) -> list[Actor]:
-        return self._registry("actors", documents.actor_from_doc)
+        return self._registry("actors")
 
     def get_actor(self, actor_id: str) -> Actor:
         return lookup_actor(self._part("actors"), _check_id("actor", actor_id))
@@ -377,38 +412,12 @@ class Store:
     # -- viewpoints ----------------------------------------------------------------
 
     def add_viewpoints(self, docs: list) -> list[Viewpoint]:
-        """Register a batch of viewpoints, validated jointly.
-
-        Batching lets mutually referencing viewpoints be added together.
-        """
-        if not isinstance(docs, list):
-            raise DocumentError("viewpoints: expected a list")
-        new: dict[str, Viewpoint] = {}
-        for doc in docs:
-            vp = documents.viewpoint_from_doc(doc)
-            if _check_id("viewpoint", vp.id) in new:
-                raise ConflictError(f"viewpoint {vp.id} appears twice in the batch")
-            new[vp.id] = vp
-        if not new:  # nothing to write, so no token moves
-            return []
-        with self.lock:
-            registry = self._part("viewpoints")
-            for vp_id in new:
-                if vp_id in registry:
-                    raise ConflictError(f"viewpoint {vp_id} is already registered")
-            violations = validate_registry(self._part("model"), self._part("actors"), new, registry)
-            if violations:
-                raise InvalidInputError(
-                    "viewpoint registration rejected by validation",
-                    violations=[v.to_doc() for v in violations],
-                )
-            self._register("viewpoints", registry, new, documents.viewpoint_to_doc)
-            return list(new.values())
+        return self.register("viewpoints", docs)
 
     def list_viewpoints(self, actor_id: str | None = None) -> list[Viewpoint]:
         """Every registered viewpoint, or one actor's from the cache, sorted by id."""
         if actor_id is None:
-            return self._registry("viewpoints", documents.viewpoint_from_doc)
+            return self._registry("viewpoints")
         _check_id("actor", actor_id)
         return restitution_list_viewpoint(self._part("actors"), self._part("viewpoints"), actor_id)
 

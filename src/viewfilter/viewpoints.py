@@ -94,20 +94,14 @@ def lookup_actor(actors: Mapping[str, Actor], actor_id: str) -> Actor:
 
 
 def restitution_list_viewpoint(
-    actors: Mapping[str, Actor],
-    viewpoints: Mapping[str, Viewpoint],
-    actor_id: str,
+    actors: Mapping[str, Actor], viewpoints: Mapping[str, Viewpoint], actor_id: str
 ) -> list[Viewpoint]:
     """Step 1: every registered viewpoint of the actor, sorted by viewpoint id."""
     lookup_actor(actors, actor_id)
     return sorted((vp for vp in viewpoints.values() if vp.actor_id == actor_id), key=lambda vp: vp.id)
 
 
-def filtering_list_vp_artifact(
-    model: PpcoModel,
-    viewpoints: Sequence[Viewpoint],
-    artifact_id: str,
-) -> list[Viewpoint]:
+def filtering_list_vp_artifact(model: PpcoModel, viewpoints: Sequence[Viewpoint], artifact_id: str) -> list[Viewpoint]:
     """Step 2: keep viewpoints targeting the artifact or any of its ancestors.
 
     A viewpoint on the whole product covers every component beneath it.
@@ -128,10 +122,7 @@ def competence_for(actor: Actor, viewpoint: Viewpoint) -> CompetenceLevel:
     return level
 
 
-def classification_vp(
-    actors: Mapping[str, Actor],
-    viewpoints: Sequence[Viewpoint],
-) -> list[Viewpoint]:
+def classification_vp(actors: Mapping[str, Actor], viewpoints: Sequence[Viewpoint]) -> list[Viewpoint]:
     """Step 3: order by the actor's competence, highest first; ties by id."""
     keyed = [(competence_for(lookup_actor(actors, vp.actor_id), vp), vp) for vp in viewpoints]
     return [vp for _, vp in sorted(keyed, key=lambda pair: (-pair[0].value, pair[1].id))]
@@ -154,24 +145,17 @@ def validate_registry(
         if actor is None:
             out.append(Violation("viewpoint.unknown_actor", vp.id, f"actor {vp.actor_id} does not resolve"))
         elif vp.domain.discipline not in actor.competences:
-            out.append(
-                Violation(
-                    "viewpoint.discipline_not_competent",
-                    vp.id,
-                    f"actor {actor.id} has no competence entry for {vp.domain.discipline}",
-                )
-            )
+            message = f"actor {actor.id} has no competence entry for {vp.domain.discipline}"
+            out.append(Violation("viewpoint.discipline_not_competent", vp.id, message))
         if vp.domain.activity_id not in model.activities_by_id:
             out.append(Violation("viewpoint.unknown_activity", vp.id, f"activity {vp.domain.activity_id} does not resolve"))
-        if vp.objective.target_artifact_id not in model.artifacts_by_id:
-            out.append(
-                Violation("viewpoint.unknown_artifact", vp.id, f"artifact {vp.objective.target_artifact_id} does not resolve")
-            )
+        target = vp.objective.target_artifact_id
+        if target not in model.artifacts_by_id:
+            out.append(Violation("viewpoint.unknown_artifact", vp.id, f"artifact {target} does not resolve"))
         for rel in vp.relationships:
-            if rel.other_viewpoint_id == vp.id:
+            other = rel.other_viewpoint_id
+            if other == vp.id:
                 out.append(Violation("viewpoint.relationship_self", vp.id, "relationship references the viewpoint itself"))
-            elif rel.other_viewpoint_id not in batch and rel.other_viewpoint_id not in registered:
-                out.append(
-                    Violation("viewpoint.relationship_dangling", vp.id, f"viewpoint {rel.other_viewpoint_id} does not resolve")
-                )
+            elif other not in batch and other not in registered:
+                out.append(Violation("viewpoint.relationship_dangling", vp.id, f"viewpoint {other} does not resolve"))
     return out

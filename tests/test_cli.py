@@ -134,6 +134,12 @@ def _proposed_in_process(root):
 # the expected output given a scratch directory.
 _WRITES = {
     "actor add": (("actor", "add"), json.dumps(_ACTOR_W), lambda tmp: documents.canonical_dumps(_ACTOR_W)),
+    "actor add list": (("actor", "add"), json.dumps([_ACTOR_W]), lambda tmp: documents.canonical_dumps({"actors": [_ACTOR_W]})),
+    "actor add batch document": (
+        ("actor", "add"),
+        json.dumps({"actors": [_ACTOR_W]}),
+        lambda tmp: documents.canonical_dumps({"actors": [_ACTOR_W]}),
+    ),
     "vp add list": (("vp", "add"), json.dumps([_VP9]), lambda tmp: documents.canonical_dumps({"viewpoints": [_VP9]})),
     "vp add batch document": (
         ("vp", "add"),
@@ -188,6 +194,33 @@ class TestRegistryCommands:
         assert out == documents.canonical_dumps(
             {"error": {"code": "bad_document", "message": "viewpoints: expected a list"}}
         )
+        assert registry.read_bytes() == before
+
+    def test_actor_add_of_an_empty_batch_writes_nothing(self, run, store_root, monkeypatch):
+        registry = store_root / "actors" / "REGISTRY"
+        before = registry.read_bytes()
+        monkeypatch.setattr("sys.stdin", io.StringIO("[]"))
+        code, out = run("--store", store_root, "actor", "add", "-")
+        assert (code, out) == (0, documents.canonical_dumps({"actors": []}))
+        assert registry.read_bytes() == before
+
+    @pytest.mark.parametrize("batch", ["5", "null", '{"id": "ActorW"}', '"ActorW"'])
+    def test_actor_add_of_a_batch_that_is_not_a_list_is_a_bad_document(self, run, store_root, monkeypatch, batch):
+        registry = store_root / "actors" / "REGISTRY"
+        before = registry.read_bytes()
+        monkeypatch.setattr("sys.stdin", io.StringIO(f'{{"actors": {batch}}}'))
+        code, out = run("--store", store_root, "actor", "add", "-")
+        assert code == 1
+        assert out == documents.canonical_dumps({"error": {"code": "bad_document", "message": "actors: expected a list"}})
+        assert registry.read_bytes() == before
+
+    def test_actor_add_of_a_batch_writes_it_whole_or_not_at_all(self, run, store_root, tmp_path):
+        registry = store_root / "actors" / "REGISTRY"
+        before = registry.read_bytes()
+        batch = [{**_ACTOR_W, "id": "ActorU", "name": "ActorU"}, {**_ACTOR_W, "team_id": "T9"}]
+        code, out = run("--store", store_root, "actor", "add", _write_json(tmp_path / "actors.json", batch))
+        assert code == 1
+        assert json.loads(out) == {"error": {"code": "invalid_input", "message": "actor ActorW: team T9 does not resolve"}}
         assert registry.read_bytes() == before
 
     def test_vp_add_rejects_dangling_reference(self, run, store_root, tmp_path):

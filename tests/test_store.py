@@ -241,6 +241,52 @@ class TestRegistries:
         with pytest.raises(InvalidInputError):
             seeded_store.add_actor(doc)
 
+    def test_a_registered_actor_on_an_unknown_team_gets_the_team_message(self, seeded_store):
+        doc = {**documents.actor_to_doc(fixture.example_actors()[0]), "team_id": "T9"}
+        with pytest.raises(InvalidInputError, match=r"^actor ActorX: team T9 does not resolve$"):
+            seeded_store.add_actor(doc)
+
+    def test_a_registered_invalid_viewpoint_gets_the_conflict(self, seeded_store):
+        doc = documents.viewpoint_to_doc(fixture.example_viewpoints()[2])
+        doc["objective"]["target_artifact_id"] = "Ghost"
+        with pytest.raises(ConflictError, match=r"^viewpoint VP3 is already registered$"):
+            seeded_store.add_viewpoints([doc])
+
+    def test_an_actor_batch_with_one_bad_team_writes_nothing(self, seeded_store):
+        registry = seeded_store.root / "actors" / "REGISTRY"
+        before = registry.read_bytes()
+        batch = [{**_ACTOR_W, "id": actor_id, "name": actor_id} for actor_id in ("ActorU", "ActorV", "ActorW")]
+        batch[1]["team_id"] = "T9"
+        with pytest.raises(InvalidInputError, match=r"^actor ActorV: team T9 does not resolve$"):
+            seeded_store.register("actors", batch)
+        assert registry.read_bytes() == before
+        assert [a.id for a in seeded_store.list_actors()] == ["ActorX", "ActorY", "ActorZ"]
+
+    def test_an_actor_batch_that_repeats_an_id_is_a_conflict(self, seeded_store):
+        registry = seeded_store.root / "actors" / "REGISTRY"
+        before = registry.read_bytes()
+        with pytest.raises(ConflictError, match=r"^actor ActorW appears twice in the batch$"):
+            seeded_store.register("actors", [_ACTOR_W, {**_ACTOR_W, "name": "again"}])
+        assert registry.read_bytes() == before
+
+    def test_an_actor_batch_registers_in_one_write(self, seeded_store, monkeypatch):
+        writes, real = [], Store._write_text
+        monkeypatch.setattr(Store, "_write_text", lambda store, path, *a, **k: writes.append(path) or real(store, path, *a, **k))
+        batch = [{**_ACTOR_W, "id": actor_id, "name": actor_id} for actor_id in ("ActorW", "ActorU")]
+        assert [a.id for a in seeded_store.register("actors", batch)] == ["ActorW", "ActorU"]
+        assert writes == [seeded_store.root / "actors" / "REGISTRY"]
+        assert [a.id for a in Store(seeded_store.root).list_actors()] == ["ActorU", "ActorW", "ActorX", "ActorY", "ActorZ"]
+
+    @pytest.mark.parametrize("kind", ["actors", "viewpoints"])
+    def test_an_empty_batch_writes_nothing(self, seeded_store, monkeypatch, kind):
+        monkeypatch.setattr(Store, "_write_text", lambda *a, **k: pytest.fail("an empty batch wrote"))
+        assert seeded_store.register(kind, []) == []
+
+    @pytest.mark.parametrize("kind", ["actors", "viewpoints"])
+    def test_a_batch_that_is_not_a_list_is_a_bad_document(self, seeded_store, kind):
+        with pytest.raises(DocumentError, match=rf"^{kind}: expected a list$"):
+            seeded_store.register(kind, {"id": "x"})
+
 
 class TestPolicyStorage:
     def test_policy_stored_canonically(self, seeded_store):
