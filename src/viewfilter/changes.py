@@ -25,7 +25,7 @@ from .errors import (
 )
 from .policy import restitution_list_connexion_level
 from .records import record, replace
-from .viewpoints import lookup_actor
+from .viewpoints import filtering_list_vp_artifact, lookup_actor
 
 if TYPE_CHECKING:
     from .store import Store
@@ -99,12 +99,10 @@ def concerned_actors(ws: Workspace, artifact_id: str, batch: str) -> set[str]:
 
     The merge is a union of batches, so an actor holds the batch exactly when
     step 4 grants it to one of their viewpoints covering the artifact: one
-    pass over the covering viewpoints, read from the snapshot's by-target
-    index, finds them all.
+    step-2 pass over every registered viewpoint finds them all.
     """
-    ws.model.artifact(artifact_id)
     concerned = set()
-    for vp in ws.viewpoints_on(artifact_id):
+    for vp in filtering_list_vp_artifact(ws.model, ws.viewpoints.values(), artifact_id):
         actor = ws.actors.get(vp.actor_id)
         if actor is None or actor.id in concerned:
             continue

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import abc
 from enum import Enum
 from functools import cache
@@ -125,6 +126,8 @@ def canonical_loads(text: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON: {exc}") from None
+    except ValueError:  # an integer literal longer than int() parses
+        raise DocumentError(f"invalid JSON: an integer has more than {sys.get_int_max_str_digits()} digits") from None
     except RecursionError:
         raise DocumentError("invalid JSON: nested too deeply") from None
 

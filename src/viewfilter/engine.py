@@ -8,11 +8,10 @@ are folded in; the audit trail preserves the competence-classified order.
 
 from __future__ import annotations
 
-import heapq
 from functools import cached_property
 from typing import Mapping
 
-from .model import PpcoModel, ancestors
+from .model import PpcoModel
 from .policy import (
     ConnexionEntry,
     ConnexionLevelList,
@@ -34,8 +33,8 @@ class Workspace:
     """Immutable snapshot of everything a filter evaluation reads.
 
     What is derived from a snapshot is built on first use and kept on it, so
-    it lives exactly as long as the snapshot: the by-actor and by-target
-    viewpoint indexes, and ``filter_memo``.
+    it lives exactly as long as the snapshot: the by-actor viewpoint index
+    and ``filter_memo``.
     """
 
     model: PpcoModel
@@ -50,21 +49,6 @@ class Workspace:
         for vp in sorted(self.viewpoints.values(), key=lambda vp: vp.id):
             index.setdefault(vp.actor_id, []).append(vp)
         return index
-
-    @cached_property
-    def viewpoints_by_target(self) -> dict[str, list[tuple[int, Viewpoint]]]:
-        """Viewpoints by target artifact, each with its position in ``viewpoints``."""
-        index: dict[str, list[tuple[int, Viewpoint]]] = {}
-        for position, vp in enumerate(self.viewpoints.values()):
-            index.setdefault(vp.objective.target_artifact_id, []).append((position, vp))
-        return index
-
-    def viewpoints_on(self, artifact_id: str) -> list[Viewpoint]:
-        """The viewpoints targeting the artifact or one of its ancestors, in
-        ``viewpoints`` order: step 2 over every actor, read from the by-target index."""
-        index = self.viewpoints_by_target
-        chain = (index.get(target, ()) for target in (artifact_id, *ancestors(self.model, artifact_id)))
-        return [vp for _, vp in heapq.merge(*chain)]
 
     @cached_property
     def filter_memo(self) -> dict:

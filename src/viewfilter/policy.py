@@ -20,6 +20,7 @@ name; ``parse`` and ``serialize`` round-trip losslessly.
 from __future__ import annotations
 
 import re
+import sys
 from typing import Iterable, Iterator, Mapping
 
 from .errors import InvalidInputError, PolicyParseError, PolicySemanticError
@@ -164,6 +165,14 @@ def _match_segments(line: str, line_no: int, segments) -> list[str]:
     return groups
 
 
+def _number(digits: str, line_no: int) -> int:
+    """A number the grammar matched; one longer than ``int()`` parses is a semantic error."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise PolicySemanticError(f"number has more than {sys.get_int_max_str_digits()} digits", line=line_no) from None
+
+
 def parse_policy(document: str) -> Policy:
     """Parse policy text; blank lines (empty, or only spaces and tabs) and
     ``#`` comments are ignored.
@@ -197,12 +206,12 @@ def parse_policy(document: str) -> Policy:
         if not raw[0].isspace():  # a line indented by any space is a grant line, well-formed or not
             close_rule()
             discipline, activity, competence = _match_segments(raw, line_no, _HEADER_SEGMENTS)
-            header = (line_no, discipline, activity, int(competence))
+            header = (line_no, discipline, activity, _number(competence, line_no))
         else:
             if header is None:
                 raise PolicyParseError("grant line outside any rule", line=line_no, column=1)
             batch, level_text = _match_segments(raw, line_no, _GRANT_SEGMENTS)
-            level = int(level_text)
+            level = _number(level_text, line_no)
             if level < 1:
                 raise PolicySemanticError(f"grant level must be >= 1, got {level}", line=line_no)
             if batch in grant_lines:

@@ -30,9 +30,7 @@ keeps those covering the artifact (step 2). Steps 3 to 5 read nothing else,
 so the served ``audit`` and ``entries`` depend only on the actor and the
 ordered ids of those covering viewpoints. The snapshot's filter memo keeps
 their encoded text under that key; steps 3 to 5 and the encoding run only on
-a miss, and the memo takes no new key once it holds ``FILTER_MEMO_CAP``.
-``changes.concerned_actors`` reads the snapshot's by-target index, so a
-proposal walks only the viewpoints on the artifact's ancestor chain. The
+a miss, and the memo takes no new key once it holds ``FILTER_MEMO_CAP``. The
 bytes served are those of ``canonical_dumps(filter_result_to_doc(result,
 include_audit=True))`` either way.
 """
@@ -200,7 +198,9 @@ def make_handler(store: Store):
             digits = header.strip(" \t")
             if not (digits.isascii() and digits.isdigit()):  # RFC 9110: 1*DIGIT, so no sign, "_" or other digits
                 raise InvalidInputError(f"Content-Length must be a non-negative integer, got {header!r}")
-            length = int(digits)
+            significant = digits.lstrip("0") or "0"
+            # More digits than MAX_BODY has is larger, and may be more than int() parses.
+            length = int(significant) if len(significant) <= len(str(MAX_BODY)) else MAX_BODY + 1
             if length > MAX_BODY:
                 raise InvalidInputError(f"Content-Length must be at most {MAX_BODY}, got {header!r}")
             try:

@@ -304,10 +304,14 @@ class Store:
         with self.lock:
             seq_path = self.root / "seq"
             text = _read_text(seq_path) if seq_path.exists() else "0"
-            if not (text.isascii() and text.isdigit()):
+            count = None
+            if text.isascii() and text.isdigit():
+                with contextlib.suppress(ValueError):  # more digits than int() parses
+                    count = int(text)
+            if count is None:
                 raise DocumentError(f"{seq_path}: expected a non-negative integer, got {text[:40]!r}")
-            self._write_text(seq_path, str(int(text) + 1))
-            return int(text) + 1
+            self._write_text(seq_path, str(count + 1))
+            return count + 1
 
     def next_change_id(self) -> str:
         return f"chg-{self.next_seq():06d}"

@@ -9,7 +9,7 @@ records are kept for audit only; they never change filter output.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidInputError, NotFoundError
 from .model import PpcoModel, Violation, ancestors
@@ -101,7 +101,7 @@ def restitution_list_viewpoint(
     return sorted((vp for vp in viewpoints.values() if vp.actor_id == actor_id), key=lambda vp: vp.id)
 
 
-def filtering_list_vp_artifact(model: PpcoModel, viewpoints: Sequence[Viewpoint], artifact_id: str) -> list[Viewpoint]:
+def filtering_list_vp_artifact(model: PpcoModel, viewpoints: Iterable[Viewpoint], artifact_id: str) -> list[Viewpoint]:
     """Step 2: keep viewpoints targeting the artifact or any of its ancestors.
 
     A viewpoint on the whole product covers every component beneath it.

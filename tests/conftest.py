@@ -1,4 +1,5 @@
 import copy
+import sys
 import threading
 
 import pytest
@@ -41,3 +42,12 @@ def service(seeded_store):
     yield f"http://{host}:{port}", seeded_store
     server.shutdown()
     server.server_close()
+
+
+@pytest.fixture()
+def long_number():
+    """An integer literal one digit longer than ``int()`` parses."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python parses integers of any length")
+    return "1" * (limit + 1)

@@ -27,9 +27,7 @@ from viewfilter.errors import (
     NotFoundError,
     PermissionDeniedError,
 )
-from viewfilter.policy import restitution_list_connexion_level
 from viewfilter.store import Store
-from viewfilter.viewpoints import filtering_list_vp_artifact
 
 ACTOR_POOL = [f"A{i}" for i in range(6)]
 
@@ -72,33 +70,24 @@ class TestConcernedActors:
         with pytest.raises(NotFoundError):
             concerned_actors(workspace, "Ghost", "Group")
 
-    def test_by_target_index_matches_the_full_scan_on_the_fixture(self, workspace):
-        _assert_matches_full_scan(workspace)
+    def test_matches_filter_recompute_on_every_fixture_artifact(self, workspace):
+        _assert_matches_filter_recompute(workspace)
 
     @given(ws=workspaces())
     @settings(max_examples=60, deadline=None)
-    def test_by_target_index_matches_the_full_scan_on_drawn_workspaces(self, ws):
-        _assert_matches_full_scan(ws)
+    def test_matches_filter_recompute_on_drawn_workspaces(self, ws):
+        _assert_matches_filter_recompute(ws)
 
 
-def _full_scan(ws, artifact_id, batch):
-    """``concerned_actors`` by a scan of every registered viewpoint."""
-    ws.model.artifact(artifact_id)
-    concerned = set()
-    for vp in filtering_list_vp_artifact(ws.model, list(ws.viewpoints.values()), artifact_id):
-        actor = ws.actors.get(vp.actor_id)
-        if actor is not None and restitution_list_connexion_level(vp, actor, ws.policy).get(batch) is not None:
-            concerned.add(actor.id)
-    return concerned
-
-
-def _assert_matches_full_scan(ws):
+def _assert_matches_filter_recompute(ws):
+    """The paper's definition: the registered actors whose own filter result
+    on the artifact holds the batch, for every artifact and granted batch."""
     batches = sorted({grant.batch for rule in ws.policy.rules for grant in rule.grants} | {"NoSuchBatch"})
     for artifact_id in ws.model.artifacts_by_id:
-        scanned = filtering_list_vp_artifact(ws.model, list(ws.viewpoints.values()), artifact_id)
-        assert ws.viewpoints_on(artifact_id) == scanned
+        results = [filtering_info_artifact(ws, artifact_id, actor_id) for actor_id in ws.actors]
         for batch in batches:
-            assert concerned_actors(ws, artifact_id, batch) == _full_scan(ws, artifact_id, batch), (artifact_id, batch)
+            expected = {result.actor_id for result in results if result.entries.get(batch)}
+            assert concerned_actors(ws, artifact_id, batch) == expected, (artifact_id, batch)
 
 
 class TestOpenProposal:

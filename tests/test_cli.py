@@ -103,6 +103,18 @@ class TestModelCommands:
         assert (code, json.loads(out)) == (1, {"error": {"code": "bad_document", "message": "invalid JSON: nested too deeply"}})
         assert capsys.readouterr().err == ""
 
+    def test_a_file_holding_an_integer_longer_than_int_parses_is_a_bad_document(
+        self, run, store_root, tmp_path, capsys, long_number
+    ):
+        path = tmp_path / "delta.json"
+        path.write_text('{"description": "d", "n": %s}' % long_number, encoding="utf-8")
+        error = {"code": "bad_document", "message": f"invalid JSON: an integer has more than {len(long_number) - 1} digits"}
+        propose = ("change", "propose", "--author", "ActorX", "--artifact", "CycloneVessel", "--batch", "Geometry-Form")
+        assert run("--store", store_root, *propose, "--delta-file", path) == (1, json.dumps({"error": error}, indent=2) + "\n")
+        assert run("model", "validate", path) == (1, json.dumps({"error": error}, indent=2) + "\n")
+        assert capsys.readouterr().err == ""
+        assert list((store_root / "changes").iterdir()) == []
+
     def test_import_reads_stdin(self, run, tmp_path, model_doc, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(model_doc)))
         code, out = run("--store", tmp_path / "store", "model", "import", "-")

@@ -28,6 +28,11 @@ class TestCanonicalText:
         with pytest.raises(DocumentError):
             documents.canonical_loads("{not json")
 
+    def test_an_integer_longer_than_int_parses_is_invalid_json(self, long_number):
+        message = f"invalid JSON: an integer has more than {len(long_number) - 1} digits"
+        with pytest.raises(DocumentError, match=message):
+            documents.canonical_loads('{"n": %s}' % long_number)
+
 
 def _stdlib_text(value):
     return json.dumps(value, ensure_ascii=False, allow_nan=False, sort_keys=True, indent=2) + "\n"

@@ -92,6 +92,13 @@ class TestParsing:
             parse_policy(text)
         assert exc.value.line == 1
 
+    @pytest.mark.parametrize("header,grant,line", [("competence>={n}", "Flows:1", 1), ("competence>=2", "Flows:{n}", 2)])
+    def test_a_number_longer_than_int_parses_is_semantic_error(self, long_number, header, grant, line):
+        text = f"rule discipline=geometry activity=* {header}\n  grant {grant}\n".replace("{n}", long_number)
+        with pytest.raises(PolicySemanticError, match=f"number has more than {len(long_number) - 1} digits") as exc:
+            parse_policy(text)
+        assert exc.value.line == line
+
     def test_rule_without_grants_is_semantic_error(self):
         with pytest.raises(PolicySemanticError):
             parse_policy("rule discipline=geometry activity=* competence>=2\n")

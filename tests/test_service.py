@@ -237,6 +237,27 @@ class TestBodyErrors:
         assert store.list_changes() == []
         assert capfd.readouterr().err == ""
 
+    def test_a_content_length_longer_than_int_parses_gets_invalid_input(self, service, capfd, long_number):
+        base, store = service
+        status, body = raw_request(base, "POST", "/changes", [f"Content-Length: {long_number}"])
+        assert status == 422
+        error = json.loads(body)["error"]
+        assert error["code"] == "invalid_input"
+        assert error["message"].startswith(f"Content-Length must be at most {service_module.MAX_BODY}, got ")
+        assert store.list_changes() == []
+        assert capfd.readouterr().err == ""
+
+    def test_a_body_holding_an_integer_longer_than_int_parses_gets_bad_document(self, service, capfd, long_number):
+        base, store = service
+        body = ('{"author_actor_id": "ActorX", "artifact_id": "CycloneVessel", "batch": "Geometry-Form", '
+                '"delta": {"n": %s}}' % long_number).encode()
+        status, reply = raw_request(base, "POST", "/changes", [f"Content-Length: {len(body)}"], body)
+        assert status == 422
+        message = f"invalid JSON: an integer has more than {len(long_number) - 1} digits"
+        assert json.loads(reply) == {"error": {"code": "bad_document", "message": message}}
+        assert store.list_changes() == []
+        assert capfd.readouterr().err == ""
+
     @pytest.mark.parametrize("depth", [1_500, 200_000])
     def test_a_deeply_nested_body_gets_bad_document(self, service, capfd, depth):
         base, store = service

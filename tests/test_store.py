@@ -1007,6 +1007,16 @@ class TestMalformedPointers:
         assert error["message"].startswith(f"{pointer}: ")
         assert captured.err == ""
 
+    def test_a_seq_longer_than_int_parses(self, seeded_store, long_number):
+        (seeded_store.root / "seq").write_text(long_number, encoding="utf-8")
+        with pytest.raises(DocumentError, match="seq: expected a non-negative integer"):
+            Store(seeded_store.root).next_seq()
+
+    def test_a_current_version_longer_than_int_parses(self, seeded_store, long_number):
+        (seeded_store.root / "model" / "CURRENT").write_text('{"token": "t", "version": %s}' % long_number)
+        with pytest.raises(DocumentError, match=f"invalid JSON: an integer has more than {len(long_number) - 1} digits"):
+            Store(seeded_store.root).load_workspace()
+
 
 class _Crash(Exception):
     """A write that fails at its rename, the commit point of every write."""
