@@ -3,23 +3,48 @@
 Responses are the same canonical documents the CLI prints; domain errors map
 one-to-one onto HTTP statuses (404 not-found, 403 permission-denied, 409
 conflict or invalid-state, 422 validation failure), and any other exception
-is answered with a 500 ``internal`` error document. Requests the stdlib
-refuses itself (a garbled request line, an oversized URI, an unsupported
-method) keep its status and get an error document too. Path parameters are
+is answered with a 500 ``internal`` error document. Path parameters are
 percent-decoded after the route has matched. A request body may hold at most
 ``MAX_BODY`` bytes; a larger ``Content-Length`` is refused before any of the
 body is read.
+
+Each request is read straight off its socket, a line at a time, with the
+limits and refusals of the stdlib's ``http.server``; each refusal gets an
+error document whose ``code`` is the status name, and ``Connection: close``:
+
+- a request line of more than ``_LINE_MAX`` bytes, its line ending
+  included, gets 414;
+- a three-word request line needs a version ``HTTP/<major>.<minor>``: any
+  other version gets 400, and 2.0 or above gets 505;
+- a two-word line is an HTTP/0.9 request, which must be a GET; every reply
+  to it, a refusal included, takes the HTTP/0.9 form: the body alone, with
+  no status line and no headers;
+- a line of any other number of words gets 400, except a blank one, which
+  ends the connection with no reply; a target that starts with ``//`` is
+  read as starting with ``/``, and one that ``urlparse`` refuses gets 400;
+- a header line of more than ``_LINE_MAX`` bytes gets 431 "Line too long",
+  and more than ``_MAX_HEADER_LINES`` lines after the request line, the
+  blank line that ends them included, get 431 "Too many headers";
+- GET and POST are routed; any other method gets 501, and HEAD gets its
+  status and headers with no body.
+
+Lines may end in CRLF or LF. ``Content-Length`` is the only header
+interpreted: the first line whose name, before its colon, is
+``content-length`` in any case. A head that the client ends before its
+blank line gets no reply. Every reply, status line to body, goes out in one
+write.
 
 Connections are served by a fixed pool of ``WORKERS`` threads, and no
 thread is started per connection. One worker at a time waits in
 ``accept()``; the worker that gets a connection handles it itself, after
 waking the most recently idle worker to accept the next one. Every
 connection carries one request (HTTP/1.0). A client that stays silent for
-``IDLE_TIMEOUT`` seconds while its request is read or its response written
-is disconnected, so it holds a worker for no longer than that. Connections
-that arrive while every worker is busy wait in the listen backlog of
-``Server.request_queue_size``. ``serve`` has all threads allocate from one
-glibc malloc arena.
+``IDLE_TIMEOUT`` seconds while its request head is read or its response
+written is disconnected with no reply; one that stays silent that long in
+its body gets 422 ``invalid_input``. Either way it holds a worker for no
+longer than that. Connections that arrive while every worker is busy wait
+in the listen backlog of ``Server.request_queue_size``. ``serve`` has all
+threads allocate from one glibc malloc arena.
 
 Every request reads the store through one resident snapshot:
 ``Store.load_workspace`` returns the same ``Workspace`` until one of its four
@@ -41,9 +66,10 @@ import contextlib
 import ctypes
 import re
 import socket
+import socketserver
+import sys
 import threading
-from http import HTTPStatus
-from http.server import BaseHTTPRequestHandler, HTTPServer
+import time
 from pathlib import Path
 from typing import Any
 from urllib.parse import parse_qs, unquote, urlparse
@@ -60,6 +86,19 @@ IDLE_TIMEOUT = 10.0  # seconds a connection may stay silent before it is closed
 MAX_BODY = 16 * 1024 * 1024  # bytes a request body may hold, far above a scaled model (about 130 KB)
 FILTER_MEMO_CAP = 256  # served filters one snapshot's memo keeps; a full memo takes no new key
 _M_ARENA_MAX = -8  # glibc's mallopt parameter for the number of malloc arenas
+_LINE_MAX = 65536  # bytes a request line or a header line may hold, its line ending included
+_MAX_HEADER_LINES = 100  # lines a head may hold after its request line, the blank line ending them included
+_CHUNK = 65536  # bytes asked of one recv()
+_SERVER = f"viewfilter Python/{sys.version.split()[0]}"
+# The reason phrase of each status the service sends: Python 3.11's, which 3.13
+# renamed for 414 and 422. A refusal's error code is its phrase in snake case.
+_PHRASES = {
+    200: "OK", 201: "Created", 400: "Bad Request", 403: "Forbidden", 404: "Not Found", 409: "Conflict",
+    414: "Request-URI Too Long", 422: "Unprocessable Entity", 431: "Request Header Fields Too Large",
+    500: "Internal Server Error", 501: "Not Implemented", 505: "HTTP Version Not Supported",
+}
+_DAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
 
 
 def _get_model_current(store: Store, params, query, body):
@@ -164,95 +203,174 @@ _ROUTES = [
 ]
 
 
-def make_handler(store: Store):
-    class Handler(BaseHTTPRequestHandler):
-        server_version = "viewfilter"
-        timeout = IDLE_TIMEOUT
+class _Refusal(Exception):
+    """A request refused before any route runs, with its status and message."""
 
-        def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-            pass
+    def __init__(self, status: int, message: str | None = None, http09: bool = False):
+        super().__init__(status)
+        self.status, self.message, self.http09 = status, message, http09
 
-        def _respond(self, status: int, doc, close: bool = False) -> None:
-            """Send a document, or a document's canonical bytes as they are."""
-            payload = doc if isinstance(doc, bytes) else documents.canonical_dumps(doc).encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json; charset=utf-8")
-            self.send_header("Content-Length", str(len(payload)))
-            if close:
-                self.send_header("Connection", "close")
-            self.end_headers()
-            if self.command != "HEAD":
-                self.wfile.write(payload)
-
-        def send_error(self, code, message=None, explain=None):
-            """The stdlib's own refusals, as an error document under its status."""
-            if len(self.requestline.split()) != 2:
-                # Only a two-word line is a real HTTP/0.9 request; any other gets a status line.
-                self.request_version = "HTTP/1.0"
-            status = HTTPStatus(code)
-            error = {"code": status.name.lower(), "message": message or status.phrase}
-            self._respond(code, {"error": error}, close=True)
-
-        def _read_body(self):
-            header = self.headers.get("Content-Length", "0")
-            digits = header.strip(" \t")
-            if not (digits.isascii() and digits.isdigit()):  # RFC 9110: 1*DIGIT, so no sign, "_" or other digits
-                raise InvalidInputError(f"Content-Length must be a non-negative integer, got {header!r}")
-            significant = digits.lstrip("0") or "0"
-            # More digits than MAX_BODY has is larger, and may be more than int() parses.
-            length = int(significant) if len(significant) <= len(str(MAX_BODY)) else MAX_BODY + 1
-            if length > MAX_BODY:
-                raise InvalidInputError(f"Content-Length must be at most {MAX_BODY}, got {header!r}")
-            try:
-                raw = self.rfile.read(length).decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise DocumentError(f"request body is not UTF-8: {exc}") from None
-            except TimeoutError:
-                raise InvalidInputError(f"request body did not arrive within {self.timeout:g} s") from None
-            return documents.canonical_loads(raw) if raw else None
-
-        def _dispatch(self, method: str) -> None:
-            parsed = urlparse(self.path)
-            query = parse_qs(parsed.query)
-            body = None
-            try:
-                if method == "POST":
-                    body = self._read_body()
-                for route_method, pattern, handler in _ROUTES:
-                    if route_method != method:
-                        continue
-                    match = pattern.match(parsed.path)
-                    if match:
-                        params = {name: unquote(value) for name, value in match.groupdict().items()}
-                        status, doc = handler(store, params, query, body)
-                        self._respond(status, doc)
-                        return
-                raise NotFoundError(f"no route for {method} {parsed.path}")
-            except Exception as exc:  # the server keeps serving; the client gets a document
-                error = InternalError.report(exc)
-                self._respond(error.http_status, error.to_doc())
-
-        def do_GET(self):
-            self._dispatch("GET")
-
-        def do_POST(self):
-            self._dispatch("POST")
-
-    return Handler
+    def payload(self) -> bytes:
+        phrase = _PHRASES[self.status]
+        error = {"code": phrase.lower().replace(" ", "_").replace("-", "_"), "message": self.message or phrase}
+        return documents.canonical_dumps({"error": error}).encode("utf-8")
 
 
-class Server(HTTPServer):
-    """An HTTP server whose ``serve_forever`` runs ``WORKERS`` threads until
-    ``shutdown``. One worker at a time, the leader, waits in ``accept()``. A
-    leader that gets a connection wakes the most recently idle worker to
-    lead next and handles the connection itself, so no connection is handed
-    from thread to thread, and a light load keeps reusing the same few
-    threads."""
+class _Reader:
+    """The bytes of one request, received from its socket as they are needed."""
 
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.data = b""
+        self.pos = 0
+
+    def readline(self) -> bytes:
+        """The next line with its ending, cut after ``_LINE_MAX + 1`` bytes so
+        that a longer line shows as too long. Raises ``EOFError`` if the
+        client ends the stream before the line does."""
+        while True:
+            end = self.data.find(b"\n", self.pos, self.pos + _LINE_MAX + 1)
+            if end < 0 and len(self.data) - self.pos > _LINE_MAX:
+                end = self.pos + _LINE_MAX
+            if end >= 0:
+                line, self.pos = self.data[self.pos:end + 1], end + 1
+                return line
+            chunk = self.sock.recv(_CHUNK)
+            if not chunk:
+                raise EOFError
+            self.data, self.pos = self.data[self.pos:] + chunk, 0
+
+    def read(self, size: int) -> bytes:
+        """The next ``size`` bytes, or fewer if the client ends the stream first."""
+        chunks = [self.data[self.pos:self.pos + size]]
+        got = len(chunks[0])
+        self.pos += got
+        while got < size and (chunk := self.sock.recv(min(size - got, _CHUNK))):
+            chunks.append(chunk)
+            got += len(chunk)
+        return b"".join(chunks)
+
+
+def _request_line(line: bytes) -> tuple[str, str, bool] | None:
+    """A request line's method, target and whether it is an HTTP/0.9
+    request, by ``http.server``'s rules; None for a line with no words."""
+    requestline = line.decode("latin-1").rstrip("\r\n")
+    words = requestline.split()
+    if not words:
+        return None
+    if len(words) >= 3:
+        version = words[-1]
+        try:
+            if not version.startswith("HTTP/"):
+                raise ValueError
+            numbers = version[5:].split(".")
+            if len(numbers) != 2 or not all(n.isdigit() and len(n) <= 10 for n in numbers):
+                raise ValueError
+            major, _minor = (int(n) for n in numbers)
+        except ValueError:  # int() refuses some of what isdigit() accepts, such as "²"
+            raise _Refusal(400, f"Bad request version ({version!r})") from None
+        if major >= 2:
+            raise _Refusal(505, f"Invalid HTTP version ({version[5:]})")
+    if len(words) > 3 or len(words) < 2:
+        raise _Refusal(400, f"Bad request syntax ({requestline!r})")
+    method, target = words[:2]
+    if len(words) == 2 and method != "GET":
+        raise _Refusal(400, f"Bad HTTP/0.9 request type ({method!r})", http09=True)
+    if target.startswith("//"):  # gh-87389: a client would take //host/path for another host
+        target = "/" + target.lstrip("/")
+    return method, target, len(words) == 2
+
+
+def _content_length(reader: _Reader) -> str | None:
+    """Read the header lines up to the blank line; the first
+    ``Content-Length`` value, or None."""
+    length = None
+    for _ in range(_MAX_HEADER_LINES):
+        line = reader.readline()
+        if len(line) > _LINE_MAX:
+            raise _Refusal(431, "Line too long")
+        if line in (b"\r\n", b"\n"):
+            return length
+        name, colon, value = line.partition(b":")
+        if length is None and colon and name.lower() == b"content-length":
+            length = value.decode("latin-1").lstrip(" \t").rstrip("\r\n")
+    raise _Refusal(431, "Too many headers")
+
+
+def _read_body(reader: _Reader, header: str | None):
+    header = "0" if header is None else header
+    digits = header.strip(" \t")
+    if not (digits.isascii() and digits.isdigit()):  # RFC 9110: 1*DIGIT, so no sign, "_" or other digits
+        raise InvalidInputError(f"Content-Length must be a non-negative integer, got {header!r}")
+    significant = digits.lstrip("0") or "0"
+    # More digits than MAX_BODY has is larger, and may be more than int() parses.
+    length = int(significant) if len(significant) <= len(str(MAX_BODY)) else MAX_BODY + 1
+    if length > MAX_BODY:
+        raise InvalidInputError(f"Content-Length must be at most {MAX_BODY}, got {header!r}")
+    try:
+        raw = reader.read(length).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"request body is not UTF-8: {exc}") from None
+    except TimeoutError:
+        raise InvalidInputError(f"request body did not arrive within {IDLE_TIMEOUT:g} s") from None
+    return documents.canonical_loads(raw) if raw else None
+
+
+def _dispatch(store: Store, method: str, target: str, reader: _Reader, length: str | None) -> tuple[int, bytes]:
+    """Route a GET or a POST; its status and the canonical bytes of its document."""
+    try:
+        parsed = urlparse(target)
+    except ValueError:  # an IPv6 host without its closing bracket, say
+        raise _Refusal(400, f"Bad request target ({target!r})") from None
+    query = parse_qs(parsed.query)
+    try:
+        body = _read_body(reader, length) if method == "POST" else None
+        for route_method, pattern, handler in _ROUTES:
+            if route_method != method:
+                continue
+            match = pattern.match(parsed.path)
+            if match:
+                params = {name: unquote(value) for name, value in match.groupdict().items()}
+                status, doc = handler(store, params, query, body)
+                break
+        else:
+            raise NotFoundError(f"no route for {method} {parsed.path}")
+    except Exception as exc:  # the server keeps serving; the client gets a document
+        error = InternalError.report(exc)
+        status, doc = error.http_status, error.to_doc()
+    return status, doc if isinstance(doc, bytes) else documents.canonical_dumps(doc).encode("utf-8")
+
+
+def _http_date() -> str:
+    """The time now in the IMF-fixdate form of RFC 9110."""
+    t = time.gmtime()
+    return "%s, %02d %s %04d %02d:%02d:%02d GMT" % (
+        _DAYS[t.tm_wday], t.tm_mday, _MONTHS[t.tm_mon - 1], t.tm_year, t.tm_hour, t.tm_min, t.tm_sec)
+
+
+def _reply(status: int, payload: bytes, *, close: bool, body: bool) -> bytes:
+    """A whole HTTP/1.0 reply: status line, headers and, unless ``body`` is false, the payload."""
+    head = (f"HTTP/1.0 {status} {_PHRASES[status]}\r\nServer: {_SERVER}\r\nDate: {_http_date()}\r\n"
+            f"Content-Type: application/json; charset=utf-8\r\nContent-Length: {len(payload)}\r\n")
+    if close:
+        head += "Connection: close\r\n"
+    return (head + "\r\n").encode("latin-1") + (payload if body else b"")
+
+
+class Server(socketserver.TCPServer):
+    """An HTTP server over ``store`` whose ``serve_forever`` runs ``WORKERS``
+    threads until ``shutdown``. One worker at a time, the leader, waits in
+    ``accept()``. A leader that gets a connection wakes the most recently
+    idle worker to lead next and handles the connection itself, so no
+    connection is handed from thread to thread, and a light load keeps
+    reusing the same few threads."""
+
+    allow_reuse_address = True
     request_queue_size = 64
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, server_address: tuple[str, int], store: Store):
+        super().__init__(server_address, None)  # no handler class: finish_request answers each connection
+        self.store = store
         self._guard = threading.Lock()
         self._stopping = False
         self._leading = False  # a worker is in accept(), or has been handed the lead
@@ -305,6 +423,32 @@ class Server(HTTPServer):
             finally:
                 self.shutdown_request(request)
 
+    def finish_request(self, request: socket.socket, client_address) -> None:
+        """Read one request off the connection and send its reply in one write."""
+        request.settimeout(IDLE_TIMEOUT)
+        reader = _Reader(request)
+        method, http09 = "", False
+        try:
+            try:
+                line = reader.readline()
+                if len(line) > _LINE_MAX:
+                    raise _Refusal(414)
+                parsed = _request_line(line)
+                if parsed is None:
+                    return
+                method, target, http09 = parsed
+                length = _content_length(reader)
+                if method not in ("GET", "POST"):
+                    raise _Refusal(501, f"Unsupported method ({method!r})")
+                status, payload = _dispatch(self.store, method, target, reader, length)
+                close = False
+            except _Refusal as refusal:
+                status, payload, close = refusal.status, refusal.payload(), True
+                http09 = http09 or refusal.http09
+            request.sendall(payload if http09 else _reply(status, payload, close=close, body=method != "HEAD"))
+        except (EOFError, OSError):  # the client ended its head, went silent or went away: no reply
+            return
+
     def shutdown(self) -> None:
         """Stop serving: wake every worker, the leader included, and wait for
         each to finish the connection it holds. The socket accepts no
@@ -327,7 +471,7 @@ class Server(HTTPServer):
 
 def create_server(store: Store, host: str = "127.0.0.1", port: int = 0) -> Server:
     """Bound, not-yet-serving HTTP server (port 0 picks a free port)."""
-    return Server((host, port), make_handler(store))
+    return Server((host, port), store)
 
 
 def _one_malloc_arena() -> None:

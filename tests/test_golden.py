@@ -1,4 +1,4 @@
-"""The CLI's printed bytes, pinned by the golden transcript of ``scripts/sweep.py``."""
+"""The CLI's printed bytes and the service's replies, pinned by the golden transcripts of ``scripts/sweep.py``."""
 
 import sys
 from pathlib import Path
@@ -17,6 +17,17 @@ def test_the_cli_transcript_matches_the_golden_file():
     """On a difference, look at the change first; regenerate with ``python scripts/sweep.py --write``
     only when the printed bytes are meant to change."""
     difference = sweep.first_difference(sweep.GOLDEN.read_text(encoding="utf-8"), sweep.transcript())
+    assert difference is None, difference
+
+
+@pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,
+    reason="the transcript records int()'s default limit of 4 300 digits",
+)
+def test_the_http_transcript_matches_the_golden_file():
+    """On a difference, look at the change first; regenerate with ``python scripts/sweep.py --write``
+    only when the served bytes are meant to change."""
+    difference = sweep.first_difference(sweep.HTTP_GOLDEN.read_text(encoding="utf-8"), sweep.http_transcript())
     assert difference is None, difference
 
 

@@ -44,3 +44,10 @@ def test_an_entry_point_loads_neither_dataclasses_nor_inspect(module):
     # The records are built by viewfilter.records; dataclasses would also load
     # inspect, ast, dis and tokenize before every CLI command does any work.
     assert {"dataclasses", "inspect"}.isdisjoint(_import_alone(module))
+
+
+@pytest.mark.parametrize("module", ["cli", "service"])
+def test_an_entry_point_loads_no_http_server_client_email_or_ssl(module):
+    # The service reads requests itself; http.server would load http.client,
+    # email and ssl (OpenSSL) into every serve process.
+    assert {"http.server", "http.client", "email", "ssl"}.isdisjoint(_import_alone(module))

@@ -13,6 +13,8 @@ from pathlib import Path
 from urllib.parse import quote
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import viewfilter
 from _corruptions import CORRUPTIONS
@@ -279,8 +281,12 @@ class TestStdlibErrors:
             (b"PUT /model HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}", 501, "not_implemented"),
             (b"GET /model current HTTP/1.1\r\n\r\n", 400, "bad_request"),
             (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", 414, "request_uri_too_long"),
+            (b"GET /model/current HTTP/1.1\r\nX-Long: " + b"a" * 70_000 + b"\r\n\r\n", 431,
+             "request_header_fields_too_large"),
+            (b"GET /model/current HTTP/1.1\r\n" + b"X-Header: v\r\n" * 101 + b"\r\n", 431,
+             "request_header_fields_too_large"),
         ],
-        ids=["DELETE", "PUT", "garbled-line", "long-uri"],
+        ids=["DELETE", "PUT", "garbled-line", "long-uri", "long-header-line", "too-many-headers"],
     )
     def test_refusal_gets_an_error_document(self, service, data, status, code):
         base, _ = service
@@ -326,6 +332,136 @@ class TestStdlibErrors:
         base, _ = service
         raw_exchange(base, b"GARBLED\r\n\r\n")
         assert request(base, "GET", "/model/current")[0] == 200
+
+
+class _RecordingSocket:
+    """An accepted socket that records the bytes of each send."""
+
+    def __init__(self, sock, sends):
+        self._sock, self._sends = sock, sends
+
+    def sendall(self, data):
+        self._sends.append(bytes(data))
+        return self._sock.sendall(data)
+
+    def send(self, data):
+        self._sends.append(bytes(data))
+        return self._sock.send(data)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def _whole_reply(base, data):
+    """Every byte the server sends on a connection that carried ``data``."""
+    host, port = base.removeprefix("http://").split(":")
+    reply = b""
+    with socket.create_connection((host, int(port)), timeout=10) as sock:
+        with contextlib.suppress(OSError):  # a server refusing a request may close before reading all of it
+            sock.sendall(data)
+            sock.shutdown(socket.SHUT_WR)
+        with contextlib.suppress(ConnectionResetError):  # which resets the connection after its reply
+            while chunk := sock.recv(65536):
+                reply += chunk
+    return reply
+
+
+class TestOneWrite:
+    """Each reply, status line to body, leaves in one write, so Nagle's
+    algorithm cannot hold its body back for the client's delayed ACK."""
+
+    @pytest.mark.parametrize(
+        ("data", "status_line"),
+        [
+            (b"GET /artifacts/CycloneVessel/filter?actor=ActorX HTTP/1.1\r\n\r\n", b"HTTP/1.0 200 OK\r\n"),
+            (b"GET /artifacts/CycloneVessel/filter HTTP/1.1\r\n\r\n", b"HTTP/1.0 422 Unprocessable Entity\r\n"),
+            (b"HEAD /model/current HTTP/1.1\r\n\r\n", b"HTTP/1.0 501 Not Implemented\r\n"),
+            (b"POST /changes\r\n\r\n", b"{"),
+        ],
+        ids=["filter", "422", "HEAD", "http09-refusal"],
+    )
+    def test_a_reply_leaves_in_one_sendall(self, seeded_store, monkeypatch, data, status_line):
+        sends = []
+        accept = service_module.Server.get_request
+
+        def recording(server):
+            sock, address = accept(server)
+            return _RecordingSocket(sock, sends), address
+
+        monkeypatch.setattr(service_module.Server, "get_request", recording)
+        with _serving(seeded_store) as base:
+            reply = _whole_reply(base, data)
+        assert reply.startswith(status_line)
+        assert sends == [reply]
+
+
+def _is_canonical(body: bytes) -> bool:
+    try:
+        return documents.canonical_dumps(json.loads(body)).encode("utf-8") == body
+    except ValueError:
+        return False
+
+
+_LINE_TEXT = st.text(st.characters(min_codepoint=1, max_codepoint=0xFF, blacklist_characters="\r\n"), max_size=30)
+
+
+@st.composite
+def _request_heads(draw):
+    """A request as bytes, whether its head is complete, and its request line."""
+    method = draw(st.sampled_from(["GET", "POST", "HEAD", "PUT", "DELETE", "get", ""]) | _LINE_TEXT)
+    target = draw(st.sampled_from(["/model/current", "/changes", "/artifacts/CycloneVessel/filter?actor=ActorX",
+                                   "//model/current", "/changes/chg-000001/decisions", "*"]) | _LINE_TEXT)
+    version = draw(st.sampled_from(["HTTP/1.1", "HTTP/1.0", "HTTP/2.0", "HTTP/1", "HTTP/one", ""]) | _LINE_TEXT)
+    line = " ".join(word for word in (method, target, version) if word).encode("latin-1")
+    if draw(st.booleans()):
+        line = b"/" * 66_000
+    lengths = st.sampled_from(["0", "2", "10", "-1", "+2", "abc", "", "99999999999999999999"]) | _LINE_TEXT
+    header = st.one_of(
+        st.builds(lambda v: b"Content-Length: " + v.encode("latin-1"), lengths),
+        st.just(b"X-Long: " + b"a" * 70_000),
+        _LINE_TEXT.map(lambda text: text.encode("latin-1")),  # mostly without a colon, some non-ASCII
+        st.binary(max_size=20).filter(lambda raw: b"\n" not in raw and b"\r" not in raw),
+    )
+    headers = draw(st.lists(header, max_size=4))
+    if draw(st.integers(0, 9)) == 0:
+        headers += [b"X-Header: v"] * draw(st.integers(95, 105))
+    eol = draw(st.sampled_from([b"\r\n", b"\n"]))
+    complete = draw(st.booleans())
+    head = line + eol + b"".join(h + eol for h in headers) + (eol if complete else b"")
+    if not complete:
+        head = head[:draw(st.integers(0, len(head)))]
+    return head + draw(st.binary(max_size=40)), complete, line
+
+
+class TestRequestHeads:
+    """Whatever the head, a connection ends in a document, or with no reply
+    when the client ends the head before its blank line."""
+
+    def test_every_head_gets_a_document_or_an_incomplete_one_no_reply(self, seeded_store, monkeypatch, capfd):
+        monkeypatch.setattr(service_module, "IDLE_TIMEOUT", 0.2)
+        with _serving(seeded_store) as base:
+
+            @settings(max_examples=100, deadline=None, database=None)
+            @given(_request_heads())
+            def check(drawn):
+                data, complete, line = drawn
+                reply = _whole_reply(base, data)
+                words = line.decode("latin-1").split()
+                if not reply:
+                    assert not complete or not words, data[:200]
+                elif reply.startswith(b"HTTP/1.0 "):
+                    head, _, body = reply.partition(b"\r\n\r\n")
+                    headers = head.decode("latin-1").split("\r\n")[1:]
+                    if body or not line.startswith(b"HEAD "):
+                        assert _is_canonical(body), reply[:300]
+                        assert f"Content-Length: {len(body)}" in headers
+                else:  # the HTTP/0.9 form: the document alone
+                    assert len(words) == 2 and len(line) < 65_536, reply[:300]
+                    assert _is_canonical(reply), reply[:300]
+
+            check()
+            assert request(base, "GET", "/model/current")[0] == 200
+        assert capfd.readouterr().err == ""
 
 
 _PROPOSAL = {"author_actor_id": "ActorX", "artifact_id": "CycloneVessel", "batch": "Geometry-Form"}
